@@ -18,7 +18,6 @@ ChaseEngine::Options ChaseEngine::FromEngineOptions(const EngineOptions& eo,
   o.inc_parallel = eo.inc_parallel;
   o.ml_index = eo.ml_index;
   o.ml_index_approx = eo.ml_index_approx;
-  o.ml_profiles = eo.ml_profiles;
   if (eo.threads > 1 && pool != nullptr) {
     o.pool = pool;
     o.enumeration_shards = eo.threads * 2;
@@ -69,28 +68,18 @@ ChaseEngine::ChaseEngine(
     ml_policy_.derivable = std::make_shared<const std::unordered_set<uint64_t>>(
         DerivableMlKeys(*rules_));
   }
-  // Profiles pay off only when some rule actually scores strings; gating on
-  // that keeps ML-free workloads free of the build cost.
-  bool want_profiles = false;
-  if (options_.ml_profiles) {
-    for (size_t i = 0; i < rules_->size(); ++i) {
-      if (rules_->rule(i).HasMlPredicate()) {
-        want_profiles = true;
-        break;
-      }
-    }
-  }
   scopes_.resize(rules_->size());
   if (rule_views == nullptr) {
     // Sequential form: one scope per rule over the full view; MQO shares a
     // single index set, noMQO pays per-rule index construction.
     if (options_.share_indices) {
-      shared_index_ = std::make_unique<DatasetIndex>(view_);
+      shared_index_ = std::make_unique<DatasetIndex>(view_, options_.profiles);
     }
     for (size_t i = 0; i < rules_->size(); ++i) {
       DatasetIndex* index = shared_index_.get();
       if (index == nullptr) {
-        owned_indices_.push_back(std::make_unique<DatasetIndex>(view_));
+        owned_indices_.push_back(
+            std::make_unique<DatasetIndex>(view_, options_.profiles));
         index = owned_indices_.back().get();
       }
       Scope scope;
@@ -99,13 +88,6 @@ ChaseEngine::ChaseEngine(
                                                   registry_, ctx_);
       scope.joiner->ConfigureMlIndex(ml_policy_);
       scopes_[i].push_back(std::move(scope));
-    }
-    if (want_profiles) {
-      // One store per engine: profiles depend only on the dataset's pool,
-      // so noMQO's per-rule indices alias it instead of rebuilding it.
-      auto store = std::make_shared<ProfileStore>(&view_->dataset().pool());
-      if (shared_index_ != nullptr) shared_index_->AttachProfiles(store);
-      for (auto& index : owned_indices_) index->AttachProfiles(store);
     }
     return;
   }
@@ -129,12 +111,14 @@ ChaseEngine::ChaseEngine(
         auto it = by_signature.find(sig);
         if (it != by_signature.end()) index = it->second;
         if (index == nullptr) {
-          owned_indices_.push_back(std::make_unique<DatasetIndex>(&block));
+          owned_indices_.push_back(
+              std::make_unique<DatasetIndex>(&block, options_.profiles));
           index = owned_indices_.back().get();
           by_signature.emplace(sig, index);
         }
       } else {
-        owned_indices_.push_back(std::make_unique<DatasetIndex>(&block));
+        owned_indices_.push_back(
+            std::make_unique<DatasetIndex>(&block, options_.profiles));
         index = owned_indices_.back().get();
       }
       Scope scope;
@@ -144,10 +128,6 @@ ChaseEngine::ChaseEngine(
       scope.joiner->ConfigureMlIndex(ml_policy_);
       scopes_[i].push_back(std::move(scope));
     }
-  }
-  if (want_profiles) {
-    auto store = std::make_shared<ProfileStore>(&view_->dataset().pool());
-    for (auto& index : owned_indices_) index->AttachProfiles(store);
   }
 }
 
@@ -371,6 +351,10 @@ void ChaseEngine::Deduce(Delta* delta) {
       }
     }
   }
+  CountIndices();
+}
+
+void ChaseEngine::CountIndices() {
   stats_.indices_built = 0;
   stats_.ml_indices_built = 0;
   if (shared_index_ != nullptr) {
@@ -698,6 +682,7 @@ void ChaseEngine::IncDeduce(const Delta& seeds, Delta* out) {
     EnqueueFrontier(round, &inc_next_);
     inc_frontier_.Swap(inc_next_);
   }
+  CountIndices();
 }
 
 void ChaseEngine::NotifyAppend(std::span<const Gid> gids) {
@@ -742,6 +727,7 @@ void ChaseEngine::DeduceForNewTuples(std::span<const Gid> new_gids,
       }
     }
   }
+  CountIndices();
 }
 
 void ChaseEngine::ApplyExternalFacts(std::span<const Fact> facts,

@@ -51,9 +51,11 @@ class ChaseEngine {
     /// Additionally allow approximate (LSH) indices for classifiers without
     /// a sound filter (embedding cosine). May lose recall; off by default.
     bool ml_index_approx = false;
-    /// Precomputed string profiles + batch similarity kernels
-    /// (EngineOptions::ml_profiles). Bit-identical results either way.
-    bool ml_profiles = true;
+    /// The dataset's profile store (DatasetProfiles::store()), built and
+    /// kept covering the ML columns by the engine's owner; the engine only
+    /// reads it. nullptr keeps every ML path on the per-pair text kernels.
+    /// Bit-identical results either way.
+    const ProfileStore* profiles = nullptr;
     /// Batched semi-naive IncDeduce (see EngineOptions::inc_parallel): each
     /// round's re-joins are recorded against a frozen snapshot and merged in
     /// (rule, scope, item-order); rounds with at least
@@ -110,7 +112,9 @@ class ChaseEngine {
   void IncDeduce(const Delta& seeds, Delta* out);
 
   /// Registers tuples newly appended to the evaluation views with every
-  /// index built so far (incremental ΔD support).
+  /// index built so far (incremental ΔD support). With a profile store, its
+  /// owner must have profiled the tuples' ML cells first
+  /// (DatasetProfiles::NotifyAppend).
   void NotifyAppend(std::span<const Gid> gids);
 
   /// Incremental ΔD (Sec. V-A Remark): enumerates only the valuations that
@@ -163,6 +167,10 @@ class ChaseEngine {
 
   std::vector<Gid> GidsOf(size_t rule_idx,
                           const std::vector<uint32_t>& rows) const;
+
+  // Sets stats_.indices_built / ml_indices_built to the indices built so
+  // far; called after every pass that can build indices lazily.
+  void CountIndices();
 
   // One seeded re-join of the semi-naive pass: rule `rule` in scope `scope`
   // with variables lvar/rvar pre-bound to rows lrow/rrow of the scope's

@@ -51,8 +51,9 @@ struct EngineOptions {
   /// Also allow approximate LSH indices (embedding cosine). May lose
   /// recall; off by default.
   bool ml_index_approx = false;
-  /// Vectorized similarity engine (see DESIGN.md): precompute per-string
-  /// token/q-gram profiles once per dataset and evaluate string ML
+  /// Vectorized similarity engine (see DESIGN.md): precompute token/q-gram
+  /// profiles of the ML columns' strings once per dataset (one store shared
+  /// by every engine over it) and evaluate string ML
   /// predicates with one-vs-many batch kernels (SIMD-dispatched, scalar
   /// fallback via DCER_SIMD=0). Scores and matched pairs are bit-identical
   /// with the knob on or off; off only trades speed for memory.

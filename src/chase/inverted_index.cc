@@ -82,24 +82,7 @@ const DatasetIndex::AttrIndex& DatasetIndex::GetOrBuild(size_t rel,
   return *pos->second;
 }
 
-void DatasetIndex::EnsureProfiles() {
-  if (profile_store_ == nullptr) {
-    profile_store_ =
-        std::make_shared<ProfileStore>(&view_->dataset().pool());
-  }
-  profile_store_->Sync();
-}
-
-void DatasetIndex::AttachProfiles(std::shared_ptr<ProfileStore> store) {
-  profile_store_ = std::move(store);
-  if (profile_store_ != nullptr) profile_store_->Sync();
-}
-
 void DatasetIndex::NotifyAppend(size_t rel, uint32_t row) {
-  // Profiles first: the appended row's cells may reference pool strings
-  // interned after the last Sync, and profiled ML indices read the profile
-  // arena inside Add.
-  if (profile_store_ != nullptr) profile_store_->Sync();
   const Relation& relation = view_->dataset().relation(rel);
   for (auto& [key, index] : indices_) {
     if ((key >> 32) != rel) continue;
@@ -136,11 +119,10 @@ const MlCandidateIndex* DatasetIndex::GetOrBuildMl(
   // Single string attribute: the side's text is exactly the pool string the
   // cell references, so profiled indices can address profiles by str_id.
   ProfileSource source;
-  if (profile_store_ != nullptr && attrs.size() == 1 &&
+  if (profiles_ != nullptr && attrs.size() == 1 &&
       relation.column(attrs[0]).type() == ValueType::kString) {
-    profile_store_->Sync();  // cover strings interned since the last sync
     const Column* col = &relation.column(attrs[0]);
-    source.store = profile_store_.get();
+    source.store = profiles_;
     source.intern_of = [col](uint32_t row) {
       return col->is_null(row) ? ProfileStore::kNpos : col->str_id(row);
     };

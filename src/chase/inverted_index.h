@@ -32,7 +32,11 @@ bool JoinableCellCode(const Relation& rel, uint32_t row, size_t attr,
 /// rule instead (Fig. 6(e)-(h)).
 class DatasetIndex {
  public:
-  explicit DatasetIndex(const DatasetView* view) : view_(view) {}
+  /// `profiles` is the dataset's profile store (DatasetProfiles::store());
+  /// nullptr keeps every ML path on the text kernels.
+  explicit DatasetIndex(const DatasetView* view,
+                        const ProfileStore* profiles = nullptr)
+      : view_(view), profiles_(profiles) {}
 
   DatasetIndex(const DatasetIndex&) = delete;
   DatasetIndex& operator=(const DatasetIndex&) = delete;
@@ -59,24 +63,15 @@ class DatasetIndex {
 
   /// Registers a row newly appended to the view in every already-built
   /// index of its relation (incremental ER over updates ΔD). The caller
-  /// must have added the row to the view first. Profiles are synced before
-  /// any ML index Add so profiled indices can read the new row's profile.
+  /// must have added the row to the view, and profiled its ML cells
+  /// (DatasetProfiles::NotifyAppend), first: profiled ML indices read the
+  /// new row's profile.
   void NotifyAppend(size_t rel, uint32_t row);
 
-  /// Opts this index into the vectorized similarity engine: builds (or
-  /// syncs) a ProfileStore shadowing the dataset's string pool. Idempotent;
-  /// exclusive phases only (same contract as EnsureBuilt). Until called,
-  /// profiles() is nullptr and every ML path stays on the text kernels.
-  void EnsureProfiles();
-
-  /// Shares an existing store instead of building one (profiles are a
-  /// function of the dataset's pool alone, so every block index of one
-  /// engine can alias a single store). Syncs it.
-  void AttachProfiles(std::shared_ptr<ProfileStore> store);
-
   /// The dataset-wide profile store, or nullptr when disabled — the single
-  /// gate every profiled fast path checks.
-  const ProfileStore* profiles() const { return profile_store_.get(); }
+  /// gate every profiled fast path checks. Read-only here: its owner keeps
+  /// it covering every string of the ML columns.
+  const ProfileStore* profiles() const { return profiles_; }
 
   /// Candidate index over one side of an ML predicate: all rows of `rel` in
   /// this view, keyed by their `attrs` values, filterable at the
@@ -126,10 +121,10 @@ class DatasetIndex {
   };
 
   const DatasetView* view_;
-  // Precomputed string profiles (token ids, gram sketches, lengths) shared
-  // by every profiled ML index and the join's batch evaluator; possibly
-  // aliased by sibling block indices of the same engine (AttachProfiles).
-  std::shared_ptr<ProfileStore> profile_store_;
+  // Precomputed string profiles (token ids, gram sketches, lengths) read by
+  // every profiled ML index and the join's batch evaluator; one store per
+  // dataset, shared by all indices of all engines over it.
+  const ProfileStore* profiles_;
   // (rel, attr) -> index; keyed densely: rel * max_attrs + attr is avoided in
   // favor of a map keyed by pair packed into uint64.
   std::unordered_map<uint64_t, std::unique_ptr<AttrIndex>> indices_;

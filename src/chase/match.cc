@@ -23,9 +23,11 @@ MatchReport engine::Match(const DatasetView& view, const RuleSet& rules,
   const uint64_t hits_before = registry.num_cache_hits();
   if (options.enable_provenance) ctx->EnableProvenance();
 
-  ChaseEngine engine(
-      &view, &rules, &registry, ctx,
-      ChaseEngine::FromEngineOptions(options, &ThreadPool::Global()));
+  const DatasetProfiles profiles(view.dataset(), rules, options.ml_profiles);
+  ChaseEngine::Options engine_options =
+      ChaseEngine::FromEngineOptions(options, &ThreadPool::Global());
+  engine_options.profiles = profiles.store();
+  ChaseEngine engine(&view, &rules, &registry, ctx, engine_options);
 
   MatchReport report;
   Delta delta;

@@ -1,6 +1,7 @@
 #ifndef DCER_CHASE_MATCH_H_
 #define DCER_CHASE_MATCH_H_
 
+#include "chase/dataset_profiles.h"
 #include "chase/deduce.h"
 #include "chase/engine_options.h"
 #include "obs/report.h"
@@ -31,7 +32,8 @@ namespace engine {
 /// fixpoint Γ, which is left in *ctx. ctx must be freshly constructed over
 /// the same dataset as the view. Deterministic given the inputs; by the
 /// Church–Rosser property (Cor. 1) the resulting Γ is independent of rule
-/// order, which the tests verify against NaiveChase.
+/// order, which the tests verify against NaiveChase. Builds the dataset's
+/// ML profile store for the call when options.ml_profiles is set.
 ///
 /// This is the one-shot fixpoint *kernel*; application code should open a
 /// `dcer::Resolver` (service/resolver.h) with num_workers = 0 instead — it

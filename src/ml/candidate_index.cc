@@ -171,13 +171,20 @@ void TokenJaccardIndex::Add(uint32_t row, const std::vector<Value>& values) {
       ids.assign(toks, toks + p->tok_count);
     }
     // The shared dictionary may have grown since the build; widen the rank
-    // table (new ids unranked) and append ranks for this row's new tokens.
+    // table (new ids unranked) and append ranks for this row's new tokens
+    // in text order — the order the unprofiled path ranks them in, so the
+    // ranks never depend on how the store assigned dictionary ids.
     if (rank_of_token_.size() < profiles_->num_tokens()) {
       rank_of_token_.resize(profiles_->num_tokens(), kUnranked);
     }
+    std::vector<uint32_t> fresh;
     for (uint32_t t : ids) {
-      if (rank_of_token_[t] == kUnranked) rank_of_token_[t] = next_rank_++;
+      if (rank_of_token_[t] == kUnranked) fresh.push_back(t);
     }
+    std::sort(fresh.begin(), fresh.end(), [this](uint32_t x, uint32_t y) {
+      return profiles_->token_text(x) < profiles_->token_text(y);
+    });
+    for (uint32_t t : fresh) rank_of_token_[t] = next_rank_++;
   } else {
     std::string scratch;
     for (std::string& tok : UniqueTokensLower(ConcatValueView(values,

@@ -88,16 +88,23 @@ ProfileStore::ProfileStore(const StringPool* pool, size_t q)
     : pool_(pool), q_(q) {}
 
 void ProfileStore::Sync() {
-  const size_t begin = built_.load(std::memory_order_relaxed);
-  const size_t end = pool_->size();
-  if (begin >= end) return;
-  profiles_.reserve(end);
+  std::vector<uint32_t> ids;
+  for (uint32_t id = 0; id < pool_->size(); ++id) {
+    if (Find(id) == nullptr) ids.push_back(id);
+  }
+  Add(ids);
+}
+
+void ProfileStore::Add(std::span<const uint32_t> ids) {
+  if (slot_of_.size() < pool_->size()) slot_of_.resize(pool_->size(), kNpos);
   std::vector<uint32_t> tok_ids;
   std::vector<uint64_t> grams;
   std::string lower;
   std::vector<std::string_view> toks;
-  for (size_t id = begin; id < end; ++id) {
-    const std::string_view text = pool_->view(static_cast<uint32_t>(id));
+  for (const uint32_t id : ids) {
+    if (id == kNpos || slot_of_[id] != kNpos) continue;
+    slot_of_[id] = static_cast<uint32_t>(profiles_.size());
+    const std::string_view text = pool_->view(id);
     Profile p;
     p.byte_len = static_cast<uint32_t>(text.size());
 
@@ -140,11 +147,11 @@ void ProfileStore::Sync() {
                                p.gram_count);
     profiles_.push_back(p);
   }
-  built_.store(end, std::memory_order_release);
 }
 
 size_t ProfileStore::ByteSize() const {
-  return profiles_.capacity() * sizeof(Profile) +
+  return slot_of_.capacity() * sizeof(uint32_t) +
+         profiles_.capacity() * sizeof(Profile) +
          token_arena_.capacity() * sizeof(uint32_t) +
          gram_hash_arena_.capacity() * sizeof(uint64_t) +
          gram_count_arena_.capacity() * sizeof(uint32_t) +

@@ -1,8 +1,8 @@
 #ifndef DCER_ML_PROFILE_H_
 #define DCER_ML_PROFILE_H_
 
-#include <atomic>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -12,9 +12,10 @@ namespace dcer {
 
 /// Precomputed similarity profiles of a Dataset's interned strings — the
 /// vectorized similarity engine's data plane. One ProfileStore shadows one
-/// StringPool: profile i describes pool string i, so any columnar cell
-/// (Column::str_id) or interned Value addresses its profile in O(1) with no
-/// hashing. Per string the store holds, in append-only arenas:
+/// StringPool, possibly sparsely: a profile is addressed by the pool id it
+/// describes, so any columnar cell (Column::str_id) or interned Value finds
+/// its profile in O(1) with no hashing, and ids never profiled have none.
+/// Per profiled string the store holds, in append-only arenas:
 ///
 ///   - the sorted unique token-id set (token-dictionary ids, see below) —
 ///     TokenJaccard over two profiles is one sorted-uint32 intersection
@@ -31,14 +32,16 @@ namespace dcer {
 /// Token ids come from a private interning dictionary (its own StringPool)
 /// shared by every profile in the store; equal tokens anywhere in the
 /// dataset get equal ids, so two profiles' token sets intersect by id.
-/// Ids are assigned in first-seen order while scanning pool ids upward,
-/// which makes an incrementally grown store (Sync after appends) arena-
-/// identical to one built from scratch over the final pool.
+/// Ids are assigned in first-seen order while profiling, so they depend on
+/// which strings were profiled in which order; every consumer is invariant
+/// under that order (intersections count matches, and the candidate indices
+/// rank tokens by document frequency and text, never by id).
 ///
-/// Concurrency contract (same as DatasetIndex): Sync() mutates and runs only
-/// in exclusive phases — index prewarm, NotifyAppend between supersteps.
-/// Find()/tokens()/gram_*() are read-only and safe from concurrent
-/// enumeration shards once synced.
+/// Concurrency contract: Sync()/Add() mutate and run only in the owner's
+/// exclusive phases (see DatasetProfiles: before any engine over the
+/// dataset runs, and between appends). Find()/tokens()/gram_*() are
+/// read-only and safe from any number of concurrent readers — DMatch
+/// workers and enumeration shards — while no mutation runs.
 class ProfileStore {
  public:
   /// Sentinel intern id: "no string here" (NULL cell). Equals
@@ -60,18 +63,22 @@ class ProfileStore {
   ProfileStore(const ProfileStore&) = delete;
   ProfileStore& operator=(const ProfileStore&) = delete;
 
-  /// Profiles every pool string in [size(), pool->size()). Idempotent;
-  /// incremental growth is arena-identical to a from-scratch build.
+  /// Profiles every pool string not profiled yet, in ascending pool-id
+  /// order. Idempotent.
   void Sync();
 
-  /// Number of pool ids profiled so far.
-  size_t size() const { return built_.load(std::memory_order_acquire); }
+  /// Profiles each of `ids` not profiled yet, in the given order (kNpos and
+  /// repeats are skipped). Every other id must name a string of the pool.
+  void Add(std::span<const uint32_t> ids);
 
-  /// Profile of pool string `id`; nullptr when `id` is kNpos or not yet
-  /// synced. Lock-free.
+  /// Number of pool strings profiled so far.
+  size_t size() const { return profiles_.size(); }
+
+  /// Profile of pool string `id`; nullptr when `id` is kNpos or has not
+  /// been profiled.
   const Profile* Find(uint32_t id) const {
-    if (id >= built_.load(std::memory_order_acquire)) return nullptr;
-    return &profiles_[id];
+    if (id >= slot_of_.size() || slot_of_[id] == kNpos) return nullptr;
+    return &profiles_[slot_of_[id]];
   }
 
   /// The profiled string's bytes (the pool's arena view).
@@ -105,12 +112,12 @@ class ProfileStore {
  private:
   const StringPool* pool_;
   size_t q_;
-  StringPool token_dict_;  // token text -> dense token id
-  std::vector<Profile> profiles_;
+  StringPool token_dict_;          // token text -> dense token id
+  std::vector<uint32_t> slot_of_;  // pool id -> index into profiles_ / kNpos
+  std::vector<Profile> profiles_;  // in profiling order
   std::vector<uint32_t> token_arena_;
   std::vector<uint64_t> gram_hash_arena_;
   std::vector<uint32_t> gram_count_arena_;
-  std::atomic<size_t> built_{0};
 };
 
 /// --- One-vs-many batch kernels ---------------------------------------------

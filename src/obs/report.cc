@@ -23,6 +23,26 @@ ChaseStats& ChaseStats::operator+=(const ChaseStats& o) {
   return *this;
 }
 
+ChaseStats ChaseStats::operator-(const ChaseStats& earlier) const {
+  ChaseStats d = *this;
+  d.valuations -= earlier.valuations;
+  d.matches -= earlier.matches;
+  d.validated_ml -= earlier.validated_ml;
+  d.deps_added -= earlier.deps_added;
+  d.deps_dropped -= earlier.deps_dropped;
+  d.deps_fired -= earlier.deps_fired;
+  d.seeded_joins -= earlier.seeded_joins;
+  d.indices_built -= earlier.indices_built;
+  d.ml_indices_built -= earlier.ml_indices_built;
+  d.join_candidates -= earlier.join_candidates;
+  d.ml_probes -= earlier.ml_probes;
+  d.ml_probe_candidates -= earlier.ml_probe_candidates;
+  d.inc_rounds -= earlier.inc_rounds;
+  d.inc_frontier_items -= earlier.inc_frontier_items;
+  d.inc_dedup_hits -= earlier.inc_dedup_hits;
+  return d;
+}
+
 void ChaseStats::AppendJson(JsonWriter* w) const {
   w->BeginObject();
   w->KV("valuations", valuations);

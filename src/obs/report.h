@@ -37,6 +37,10 @@ struct ChaseStats {
                                 // with inc_frontier_items: cascade redundancy
 
   ChaseStats& operator+=(const ChaseStats& o);
+  /// Field-wise difference of two readings of one engine's running
+  /// counters (later − earlier): the work done between them.
+  ChaseStats operator-(const ChaseStats& earlier) const;
+  bool operator==(const ChaseStats&) const = default;
 
   /// Appends the stats as one JSON object value.
   void AppendJson(JsonWriter* w) const;

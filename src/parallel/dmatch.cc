@@ -83,7 +83,8 @@ void DMatchReport::ExtraJson(JsonWriter* w) const {
 DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
                             const MlRegistry& registry,
                             const DMatchOptions& options,
-                            MatchContext* result) {
+                            MatchContext* result,
+                            const DatasetProfiles* profiles) {
   obs::InitFromEnv();
   DCER_TRACE("dmatch");
   DMatchReport report;
@@ -109,8 +110,13 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
   // Step 2: the BSP fixpoint, executed on the process-wide persistent pool.
   ThreadPool& pool = ThreadPool::Global();
   Timer er_timer;
+  std::optional<DatasetProfiles> own_profiles;
+  if (profiles == nullptr) {
+    profiles = &own_profiles.emplace(dataset, rules, options.ml_profiles);
+  }
   ChaseEngine::Options engine_options =
       ChaseEngine::FromEngineOptions(options, &pool);
+  engine_options.profiles = profiles->store();
 
   std::vector<std::unique_ptr<Worker>> workers;
   workers.reserve(options.num_workers);

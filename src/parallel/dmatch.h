@@ -1,6 +1,7 @@
 #ifndef DCER_PARALLEL_DMATCH_H_
 #define DCER_PARALLEL_DMATCH_H_
 
+#include "chase/dataset_profiles.h"
 #include "chase/deduce.h"
 #include "chase/engine_options.h"
 #include "obs/report.h"
@@ -75,9 +76,15 @@ namespace engine {
 /// incremental Append on top. The kernel stays exposed (in dcer::engine)
 /// for white-box tests, benches and the eval harness. The old deprecated
 /// `dcer::DMatch` shim has been removed.
+///
+/// `profiles` is the dataset owner's profile store (the Resolver passes
+/// its own); nullptr builds one for this call per options.ml_profiles.
+/// Either way it is complete before the workers start, and they only read
+/// it.
 DMatchReport DMatch(const Dataset& dataset, const RuleSet& rules,
                     const MlRegistry& registry, const DMatchOptions& options,
-                    MatchContext* result);
+                    MatchContext* result,
+                    const DatasetProfiles* profiles = nullptr);
 
 }  // namespace engine
 

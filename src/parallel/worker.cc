@@ -44,12 +44,9 @@ void Worker::RunIncremental(const std::vector<Fact>& inbox) {
   const ChaseStats before = engine_->stats();
   Delta out;
   engine_->IncDeduce(seeds, &out);
-  const ChaseStats& after = engine_->stats();
-  last_inc_.inc_rounds = after.inc_rounds - before.inc_rounds;
-  last_inc_.inc_frontier_items =
-      after.inc_frontier_items - before.inc_frontier_items;
-  last_inc_.inc_dedup_hits = after.inc_dedup_hits - before.inc_dedup_hits;
-  last_inc_.seeded_joins = after.seeded_joins - before.seeded_joins;
+  const ChaseStats step = engine_->stats() - before;
+  last_inc_ = {step.inc_rounds, step.inc_frontier_items, step.inc_dedup_hits,
+               step.seeded_joins};
 
   outbox_.clear();
   auto emit = [&](const Fact& f) {

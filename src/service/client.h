@@ -45,6 +45,11 @@ class ResolverClient {
   // (reusing the calling thread's trace_id when one is installed, minting a
   // fresh one otherwise) — the daemon scopes its work under the same ids, so
   // DCER_TRACE_FILE yields one stitched Chrome trace per request.
+  //
+  // Append sends `rows` as one tuple block per destination relation, in
+  // ascending relation index with row order kept inside each block, so
+  // resp->gids come back in that block order — not in the order of `rows`
+  // unless `rows` is already grouped by relation.
   Status Append(const Dataset& schema_source,
                 const std::vector<std::pair<uint32_t, Row>>& rows,
                 Response* resp);

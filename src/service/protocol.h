@@ -41,7 +41,10 @@ namespace service {
 ///   METRICS   (empty; v3+)
 ///
 ///   APPENDED  varint snapshot_version, varint n, first gid varint then
-///             zigzag deltas (batch order)
+///             zigzag deltas (block order: the i-th gid belongs to the i-th
+///             tuple of the request's blocks read in sequence; blocks from
+///             MakeAppendRequest are grouped by ascending relation index,
+///             so this is not the caller's row order)
 ///   ENTITY    varint snapshot_version, varint n, first gid varint then
 ///             zigzag deltas (sorted members)
 ///   BOOL      varint snapshot_version, one byte 0/1

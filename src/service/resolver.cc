@@ -16,6 +16,7 @@ Resolver::Resolver(std::unique_ptr<Dataset> owned, const Dataset* dataset,
       dataset_(owned_dataset_ ? owned_dataset_.get() : dataset),
       rules_(std::move(rules)),
       registry_(registry),
+      profiles_(*dataset_, rules_, options_.ml_profiles),
       ctx_(std::make_unique<MatchContext>(*dataset_)) {
   if (options_.enable_provenance && options_.num_workers == 0) {
     ctx_->EnableProvenance();
@@ -40,8 +41,9 @@ DMatchOptions ToDMatchOptions(const ResolverOptions& options) {
 
 void Resolver::RunOpenFixpoint() {
   if (options_.num_workers > 0) {
-    open_dmatch_report_ = std::make_unique<DMatchReport>(engine::DMatch(
-        *dataset_, rules_, *registry_, ToDMatchOptions(options_), ctx_.get()));
+    open_dmatch_report_ = std::make_unique<DMatchReport>(
+        engine::DMatch(*dataset_, rules_, *registry_,
+                       ToDMatchOptions(options_), ctx_.get(), &profiles_));
     // The incremental engine (and its dependency store) is built lazily on
     // the first Append; queries only need the published snapshot.
   } else {
@@ -81,9 +83,11 @@ std::unique_ptr<Resolver> Resolver::OpenBorrowed(const Dataset& dataset,
 void Resolver::EnsureEngine() {
   if (engine_) return;
   view_ = std::make_unique<DatasetView>(DatasetView::Full(*dataset_));
-  engine_ = std::make_unique<ChaseEngine>(
-      view_.get(), &rules_, registry_, ctx_.get(),
-      ChaseEngine::FromEngineOptions(options_, &ThreadPool::Global()));
+  ChaseEngine::Options engine_options =
+      ChaseEngine::FromEngineOptions(options_, &ThreadPool::Global());
+  engine_options.profiles = profiles_.store();
+  engine_ = std::make_unique<ChaseEngine>(view_.get(), &rules_, registry_,
+                                          ctx_.get(), engine_options);
 }
 
 MatchReport Resolver::RunToFixpoint(Delta delta) {
@@ -94,20 +98,8 @@ MatchReport Resolver::RunToFixpoint(Delta delta) {
   Delta rest;
   engine_->IncDeduce(delta, &rest);
   // Per-call stats: difference against the engine's running counters.
-  ChaseStats now = engine_->stats();
-  report.chase = now;
-  report.chase.valuations -= stats_before_.valuations;
-  report.chase.matches -= stats_before_.matches;
-  report.chase.validated_ml -= stats_before_.validated_ml;
-  report.chase.deps_added -= stats_before_.deps_added;
-  report.chase.deps_fired -= stats_before_.deps_fired;
-  report.chase.seeded_joins -= stats_before_.seeded_joins;
-  report.chase.join_candidates -= stats_before_.join_candidates;
-  report.chase.ml_probes -= stats_before_.ml_probes;
-  report.chase.ml_probe_candidates -= stats_before_.ml_probe_candidates;
-  report.chase.inc_rounds -= stats_before_.inc_rounds;
-  report.chase.inc_frontier_items -= stats_before_.inc_frontier_items;
-  report.chase.inc_dedup_hits -= stats_before_.inc_dedup_hits;
+  const ChaseStats now = engine_->stats();
+  report.chase = now - stats_before_;
   report.rounds = 1 + static_cast<int>(report.chase.inc_rounds);
   stats_before_ = now;
   report.seconds = timer.ElapsedSeconds();
@@ -162,6 +154,7 @@ AppendOutcome Resolver::Append(TupleBatch batch) {
   // the equivalence relation, then run the update-driven pass.
   ctx_->GrowToDataset();
   for (Gid gid : out.gids) view_->Append(gid);
+  profiles_.NotifyAppend(out.gids);
   engine_->NotifyAppend(out.gids);
   Delta delta;
   engine_->DeduceForNewTuples(out.gids, &delta);

@@ -118,6 +118,11 @@ class Resolver {
   const ResolverOptions& options() const { return options_; }
   bool owns_dataset() const { return owned_dataset_ != nullptr; }
 
+  /// The dataset's one ML profile store, read by every engine this resolver
+  /// runs (DMatch workers included); nullptr when ml_profiles is off or no
+  /// ML predicate reads a single string column. Appends extend it in place.
+  const ProfileStore* profiles() const { return profiles_.store(); }
+
   /// Rule/fact provenance recorded by the fixpoints (Explain()); non-null
   /// only when opened with enable_provenance and num_workers == 0.
   const ProvenanceLog* provenance() const;
@@ -151,6 +156,7 @@ class Resolver {
   const Dataset* dataset_;                  // owned_dataset_ or the borrow
   RuleSet rules_;
   const MlRegistry* registry_;
+  DatasetProfiles profiles_;  // built at Open; extended by Append
 
   std::unique_ptr<DatasetView> view_;
   std::unique_ptr<MatchContext> ctx_;

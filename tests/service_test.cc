@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -21,8 +22,11 @@
 
 #include "chase/match.h"
 #include "chase/view.h"
+#include "common/thread_pool.h"
 #include "datagen/ecommerce.h"
+#include "datagen/tpch_lite.h"
 #include "obs/exposition.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/wire.h"
 #include "rules/parser.h"
@@ -56,11 +60,10 @@ struct StreamSetup {
   std::vector<std::pair<uint32_t, Row>> tail;
 };
 
-StreamSetup MakeStreamSetup(size_t num_customers, size_t held_back) {
+StreamSetup MakeStreamSetup(std::unique_ptr<GenDataset> gd,
+                            size_t held_back) {
   StreamSetup s;
-  EcommerceOptions options;
-  options.num_customers = num_customers;
-  s.gd = MakeEcommerce(options);
+  s.gd = std::move(gd);
   for (size_t r = 0; r < s.gd->dataset.num_relations(); ++r) {
     s.prefix.AddRelation(s.gd->dataset.relation(r).schema());
   }
@@ -79,6 +82,25 @@ StreamSetup MakeStreamSetup(size_t num_customers, size_t held_back) {
                       s.gd->dataset.relation(loc.relation).row(loc.row)});
   }
   return s;
+}
+
+StreamSetup MakeStreamSetup(size_t num_customers, size_t held_back) {
+  EcommerceOptions options;
+  options.num_customers = num_customers;
+  return MakeStreamSetup(MakeEcommerce(options), held_back);
+}
+
+// Streams `tail` into `resolver` in batches of `batch_size`.
+void AppendInBatches(Resolver* resolver,
+                     const std::vector<std::pair<uint32_t, Row>>& tail,
+                     size_t batch_size) {
+  for (size_t i = 0; i < tail.size();) {
+    TupleBatch batch;
+    for (size_t j = 0; j < batch_size && i < tail.size(); ++j, ++i) {
+      batch.Add(tail[i].first, tail[i].second);
+    }
+    resolver->Append(std::move(batch));
+  }
 }
 
 // Γ over the original generated dataset, chased from scratch in one batch.
@@ -301,14 +323,7 @@ TEST(ResolverTest, ConcurrentSnapshotReadersWhileAppending) {
     });
   }
 
-  size_t i = 0;
-  while (i < setup.tail.size()) {
-    TupleBatch batch;
-    for (size_t j = 0; j < kBatchSize && i < setup.tail.size(); ++j, ++i) {
-      batch.Add(setup.tail[i].first, setup.tail[i].second);
-    }
-    resolver->Append(std::move(batch));
-  }
+  AppendInBatches(resolver.get(), setup.tail, kBatchSize);
   done.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
   EXPECT_TRUE(monotone.load());
@@ -317,6 +332,169 @@ TEST(ResolverTest, ConcurrentSnapshotReadersWhileAppending) {
   EXPECT_EQ(resolver->Snapshot()->MatchedPairs(), pairs);
   EXPECT_EQ(resolver->Snapshot()->ValidatedMlKeys(), ml);
 }
+
+// Each Append reports only its own work. The ground truth drives the same
+// open and appends on a ChaseEngine directly and reads its running counters
+// around each step. A small dependency capacity makes H drop, so
+// deps_dropped is nonzero at open — a running total would show up there.
+TEST(ResolverTest, AppendReportsCountOnlyTheirOwnWork) {
+  constexpr size_t kHeldBack = 8;
+  ResolverOptions options;
+  options.dependency_capacity = 16;
+  auto setup = MakeStreamSetup(80, kHeldBack);
+  auto resolver = Resolver::Open(std::move(setup.prefix), setup.rules,
+                                 &setup.gd->registry, options);
+
+  auto replica = MakeStreamSetup(80, kHeldBack);
+  DatasetView view = DatasetView::Full(replica.prefix);
+  MatchContext ctx(replica.prefix);
+  DatasetProfiles profiles(replica.prefix, replica.rules, options.ml_profiles);
+  ChaseEngine::Options engine_options =
+      ChaseEngine::FromEngineOptions(options, &ThreadPool::Global());
+  engine_options.profiles = profiles.store();
+  ChaseEngine engine(&view, &replica.rules, &replica.gd->registry, &ctx,
+                     engine_options);
+  Delta open_delta, open_rest;
+  engine.Deduce(&open_delta);
+  engine.IncDeduce(open_delta, &open_rest);
+  ASSERT_GT(engine.stats().deps_dropped, 0u);
+  EXPECT_TRUE(resolver->match_report()->chase == engine.stats());
+
+  for (size_t b = 0; b < 2; ++b) {
+    const ChaseStats before = engine.stats();
+    TupleBatch batch;
+    std::vector<Gid> gids;
+    for (size_t i = b * kHeldBack / 2; i < (b + 1) * kHeldBack / 2; ++i) {
+      batch.Add(setup.tail[i].first, setup.tail[i].second);
+      gids.push_back(replica.prefix.AppendTuple(replica.tail[i].first,
+                                                replica.tail[i].second));
+    }
+    const AppendOutcome outcome = resolver->Append(std::move(batch));
+    ctx.GrowToDataset();
+    for (Gid gid : gids) view.Append(gid);
+    profiles.NotifyAppend(gids);
+    engine.NotifyAppend(gids);
+    Delta delta, rest;
+    engine.DeduceForNewTuples(gids, &delta);
+    engine.IncDeduce(delta, &rest);
+    EXPECT_TRUE(outcome.report.chase == engine.stats() - before)
+        << "append " << b << ": deps_dropped "
+        << outcome.report.chase.deps_dropped << " vs "
+        << (engine.stats() - before).deps_dropped;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The dataset's ML profile store
+
+// A DMatch open and its first Append build exactly one store: the four
+// workers and the incremental engine all read the Resolver's.
+TEST(ResolverProfilesTest, DMatchOpenAndFirstAppendBuildOneStore) {
+  const bool metrics_were_on = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  obs::Counter* builds =
+      obs::MetricsRegistry::Global().GetCounter("ml.profile_builds");
+  const uint64_t before = builds->Value();
+  auto setup = MakeStreamSetup(80, 8);
+  ResolverOptions options;
+  options.num_workers = 4;
+  auto resolver = Resolver::Open(std::move(setup.prefix), setup.rules,
+                                 &setup.gd->registry, options);
+  AppendInBatches(resolver.get(), setup.tail, setup.tail.size());
+  EXPECT_EQ(builds->Value() - before, 1u);
+  EXPECT_NE(resolver->profiles(), nullptr);
+  obs::SetMetricsEnabled(metrics_were_on);
+}
+
+// Only strings of ML columns are profiled, and an Append that puts an
+// already-interned string into an ML column gets it profiled.
+TEST(ResolverProfilesTest, ScopeIsTheMlColumnsAndFollowsAppends) {
+  auto setup = MakeStreamSetup(40, 0);
+  auto resolver = Resolver::Open(std::move(setup.prefix), setup.rules,
+                                 &setup.gd->registry);
+  const Dataset& d = resolver->dataset();
+  const ProfileStore* store = resolver->profiles();
+  ASSERT_NE(store, nullptr);
+  const size_t customers = d.RelationIndexOrDie("Customers");
+  const Relation& rel = d.relation(customers);
+  const int name = rel.schema().AttrIndex("name");    // M3 scores it
+  const int phone = rel.schema().AttrIndex("phone");  // equality joins only
+  ASSERT_FALSE(rel.is_null(0, name));
+  ASSERT_FALSE(rel.is_null(0, phone));
+  const uint32_t phone_id = rel.column(phone).str_id(0);
+  EXPECT_NE(store->Find(rel.column(name).str_id(0)), nullptr);
+  EXPECT_EQ(store->Find(phone_id), nullptr);
+  const size_t profiled = store->size();
+  EXPECT_LT(profiled, d.pool().size());
+
+  const std::string phone_text(rel.string_at(0, phone));
+  Row row = rel.row(0);
+  row[name] = Value(phone_text);
+  TupleBatch batch;
+  batch.Add(customers, std::move(row));
+  resolver->Append(std::move(batch));
+  const ProfileStore::Profile* p = store->Find(phone_id);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->byte_len, phone_text.size());
+  EXPECT_EQ(store->size(), profiled + 1);
+}
+
+std::unique_ptr<GenDataset> MakeWorkload(std::string_view name) {
+  if (name == "tpch") {
+    TpchOptions o;
+    o.scale = 0.25;
+    return MakeTpch(o);
+  }
+  EcommerceOptions o;
+  o.num_customers = 120;
+  return MakeEcommerce(o);
+}
+
+// Γ and the validated ML keys do not depend on profiles: sequential and
+// DMatch opens of the whole dataset, and prefix opens with the tail
+// streamed in, with the store on and off. The DMatch(4) opens run their
+// workers in parallel over the one store — the TSan lane's check that its
+// concurrent readers never race.
+class ProfilesOnOffTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ProfilesOnOffTest, GammaBitIdenticalAcrossOpensAndStreams) {
+  struct Run {
+    std::string tag;
+    std::vector<std::pair<Gid, Gid>> pairs;
+    std::vector<uint64_t> ml;
+  };
+  std::vector<Run> runs;
+  for (bool profiles : {false, true}) {
+    for (int workers : {0, 4}) {
+      ResolverOptions options;
+      options.ml_profiles = profiles;
+      options.num_workers = workers;
+      const std::string tag = std::string(profiles ? "on" : "off") +
+                              " workers=" + std::to_string(workers);
+      auto gd = MakeWorkload(GetParam());
+      auto open =
+          Resolver::OpenBorrowed(gd->dataset, gd->rules, &gd->registry, options);
+      runs.push_back({tag + " open", open->Snapshot()->MatchedPairs(),
+                      open->Snapshot()->ValidatedMlKeys()});
+
+      auto setup = MakeStreamSetup(MakeWorkload(GetParam()), 24);
+      auto stream = Resolver::Open(std::move(setup.prefix), setup.rules,
+                                   &setup.gd->registry, options);
+      EXPECT_EQ(stream->profiles() != nullptr, profiles) << tag;
+      AppendInBatches(stream.get(), setup.tail, 4);
+      runs.push_back({tag + " stream", stream->Snapshot()->MatchedPairs(),
+                      stream->Snapshot()->ValidatedMlKeys()});
+    }
+  }
+  EXPECT_FALSE(runs[0].pairs.empty());
+  for (const Run& run : runs) {
+    EXPECT_EQ(run.pairs, runs[0].pairs) << run.tag;
+    EXPECT_EQ(run.ml, runs[0].ml) << run.tag;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, ProfilesOnOffTest,
+                         ::testing::Values("ecommerce", "tpch"));
 
 // ---------------------------------------------------------------------------
 // Daemon end to end (loopback TCP)
@@ -405,6 +583,40 @@ TEST(DaemonTest, ServesQueriesWhileAppendsStream) {
   ASSERT_TRUE(client.Stats(&stats).ok());
   EXPECT_NE(stats.text.find("\"append_requests\""), std::string::npos);
   fx.daemon->Stop();
+}
+
+// APPENDED gids follow the request's tuple blocks, not the caller's row
+// order: ResolverClient::Append groups rows into one block per relation
+// (ascending relation index, row order kept within a block), and the daemon
+// assigns gids while reading the blocks in sequence.
+TEST(DaemonTest, AppendedGidsFollowTupleBlockOrder) {
+  DaemonFixture fx(40, 8);
+  const Dataset& source = fx.gd->dataset;
+  std::vector<std::pair<uint32_t, Row>> rows;
+  for (size_t i = 0; i < 3; ++i) {  // higher relation first, interleaved
+    rows.push_back({1, source.relation(1).row(i)});
+    rows.push_back({0, source.relation(0).row(i)});
+  }
+  std::vector<std::pair<uint32_t, Row>> want = rows;
+  std::stable_sort(want.begin(), want.end(), [](const auto& x, const auto& y) {
+    return x.first < y.first;
+  });
+
+  ResolverClient client;
+  ASSERT_TRUE(client.Connect(fx.daemon->port()).ok());
+  Response resp;
+  ASSERT_TRUE(client.Append(source, rows, &resp).ok());
+  ASSERT_EQ(resp.gids.size(), rows.size());
+  client.Close();
+  fx.daemon->Stop();  // waits out the chase: the dataset is quiescent
+
+  const Dataset& served = fx.daemon->resolver().dataset();
+  for (size_t i = 0; i < want.size(); ++i) {
+    const TupleLoc loc = served.loc(resp.gids[i]);
+    EXPECT_EQ(loc.relation, want[i].first) << "gid #" << i;
+    const Row got = served.relation(loc.relation).row(loc.row);
+    EXPECT_EQ(got, want[i].second) << "gid #" << i;
+  }
 }
 
 TEST(DaemonTest, ForeignVersionFrameGetsTypedErrorAndConnectionSurvives) {

@@ -5,8 +5,8 @@
 //    hit the all-match path);
 //  - DCER_SIMD=0 deterministically forces the scalar tier (the
 //    simd_scalar_test binary runs this whole file under that environment);
-//  - a ProfileStore grown incrementally (Sync after appends) is
-//    arena-identical to one built from scratch over the final pool;
+//  - a ProfileStore grown incrementally (sparse Adds in any order) holds
+//    the same per-string profiles as one built from scratch;
 //  - the one-vs-many batch kernels return bit-for-bit the scores and
 //    booleans of the pairwise kernels in ml/similarity.h, at every tier;
 //  - EditPassBound exactly characterizes the double predicate
@@ -306,35 +306,41 @@ std::vector<std::string> ProfileCorpus(size_t n) {
   return corpus;
 }
 
-void ExpectStoresIdentical(const ProfileStore& a, const ProfileStore& b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.num_tokens(), b.num_tokens());
-  for (uint32_t t = 0; t < a.num_tokens(); ++t) {
-    EXPECT_EQ(a.token_text(t), b.token_text(t)) << "token id " << t;
+// The profile of `id` with dictionary ids replaced by token texts: what two
+// stores must agree on when they profiled the same string, whatever order
+// their dictionaries assigned ids in.
+struct PortableProfile {
+  std::vector<std::string_view> tokens;  // sorted texts
+  std::vector<uint64_t> gram_hashes;
+  std::vector<uint32_t> gram_counts;
+  uint32_t byte_len = 0;
+  uint32_t gram_total = 0;
+  uint64_t simhash = 0;
+
+  bool operator==(const PortableProfile&) const = default;
+};
+
+PortableProfile PortableOf(const ProfileStore& store,
+                           const ProfileStore::Profile& p) {
+  PortableProfile out;
+  for (uint32_t i = 0; i < p.tok_count; ++i) {
+    out.tokens.push_back(store.token_text(store.tokens(p)[i]));
   }
-  for (uint32_t id = 0; id < a.size(); ++id) {
-    const ProfileStore::Profile* pa = a.Find(id);
-    const ProfileStore::Profile* pb = b.Find(id);
-    ASSERT_NE(pa, nullptr);
-    ASSERT_NE(pb, nullptr);
-    EXPECT_EQ(pa->tok_begin, pb->tok_begin) << "id " << id;
-    EXPECT_EQ(pa->tok_count, pb->tok_count) << "id " << id;
-    EXPECT_EQ(pa->gram_begin, pb->gram_begin) << "id " << id;
-    EXPECT_EQ(pa->gram_count, pb->gram_count) << "id " << id;
-    EXPECT_EQ(pa->byte_len, pb->byte_len) << "id " << id;
-    EXPECT_EQ(pa->gram_total, pb->gram_total) << "id " << id;
-    EXPECT_EQ(pa->simhash, pb->simhash) << "id " << id;
-    for (uint32_t i = 0; i < pa->tok_count; ++i) {
-      EXPECT_EQ(a.tokens(*pa)[i], b.tokens(*pb)[i]) << "id " << id;
-    }
-    for (uint32_t i = 0; i < pa->gram_count; ++i) {
-      EXPECT_EQ(a.gram_hashes(*pa)[i], b.gram_hashes(*pb)[i]) << "id " << id;
-      EXPECT_EQ(a.gram_counts(*pa)[i], b.gram_counts(*pb)[i]) << "id " << id;
-    }
-  }
+  std::sort(out.tokens.begin(), out.tokens.end());
+  out.gram_hashes.assign(store.gram_hashes(p),
+                         store.gram_hashes(p) + p.gram_count);
+  out.gram_counts.assign(store.gram_counts(p),
+                         store.gram_counts(p) + p.gram_count);
+  out.byte_len = p.byte_len;
+  out.gram_total = p.gram_total;
+  out.simhash = p.simhash;
+  return out;
 }
 
-TEST(ProfileStore, IncrementalSyncIsArenaIdenticalToFromScratch) {
+// A store grown the way DatasetProfiles grows one — a subset of ids at
+// open, later appends adding new ids and ids skipped before, each batch in
+// its own order — profiles every string exactly as a from-scratch Sync.
+TEST(ProfileStore, IncrementalAddMatchesFromScratchPerString) {
   const std::vector<std::string> corpus = ProfileCorpus(60);
 
   StringPool full;
@@ -344,17 +350,35 @@ TEST(ProfileStore, IncrementalSyncIsArenaIdenticalToFromScratch) {
 
   StringPool grown;
   ProfileStore incremental(&grown);
-  incremental.Sync();  // sync of an empty pool
+  incremental.Add({});  // empty pool, empty batch
   EXPECT_EQ(incremental.size(), 0u);
   size_t i = 0;
+  std::vector<uint32_t> skipped;
   for (size_t chunk : {size_t{1}, size_t{7}, size_t{20}, corpus.size()}) {
-    for (; i < chunk && i < corpus.size(); ++i) grown.Intern(corpus[i]);
-    incremental.Sync();
-    EXPECT_EQ(incremental.size(), grown.size());
+    std::vector<uint32_t> batch;
+    for (; i < chunk && i < corpus.size(); ++i) {
+      const uint32_t id = grown.Intern(corpus[i]);
+      // Every third string stays out of this batch, like a string first
+      // interned in a non-ML column.
+      (id % 3 == 1 ? skipped : batch).push_back(id);
+    }
+    std::reverse(batch.begin(), batch.end());  // not ascending on purpose
+    batch.push_back(ProfileStore::kNpos);      // NULL cells are skipped
+    incremental.Add(batch);
+    for (uint32_t id : skipped) EXPECT_EQ(incremental.Find(id), nullptr);
   }
-  incremental.Sync();  // idempotent
+  incremental.Add(skipped);  // an old string enters an ML column
+  incremental.Add(skipped);  // idempotent
+  ASSERT_EQ(incremental.size(), grown.size());
 
-  ExpectStoresIdentical(scratch, incremental);
+  for (uint32_t id = 0; id < grown.size(); ++id) {
+    const ProfileStore::Profile* pa = scratch.Find(id);
+    const ProfileStore::Profile* pb = incremental.Find(id);
+    ASSERT_NE(pa, nullptr);
+    ASSERT_NE(pb, nullptr);
+    EXPECT_TRUE(PortableOf(scratch, *pa) == PortableOf(incremental, *pb))
+        << "id " << id << " [" << grown.view(id) << "]";
+  }
 }
 
 TEST(ProfileStore, ProfilesMatchDirectComputation) {

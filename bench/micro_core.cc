@@ -668,14 +668,11 @@ RoutingNumbers MeasureRouting() {
 
 // Class-merge-heavy workload for the propagation policy: chains first build
 // blocks of 16 equivalent tuples, then tournament rounds merge ever-larger
-// blocks — exactly the regime where the |Ca| × |Cb| cross product explodes
-// and the |Ca| + |Cb| spanning pairs stay linear.
+// blocks — the regime where a |Ca| × |Cb| cross product would explode and
+// the |Ca| + |Cb| spanning pairs stay linear.
 struct SpanningNumbers {
   uint64_t spanning_messages = 0;
-  uint64_t crossproduct_messages = 0;
   uint64_t spanning_bytes = 0;
-  uint64_t crossproduct_bytes = 0;
-  bool eid_equal = false;
 };
 
 SpanningNumbers MeasureSpanning() {
@@ -692,39 +689,11 @@ SpanningNumbers MeasureSpanning() {
       facts.push_back(Fact::IdMatch(g, g + size));
     }
   }
-
-  // Class labels normalized to each class's smallest member, so the two
-  // modes' union-finds compare representation-independently.
-  auto canon = [](const UnionFind& uf, uint32_t n) {
-    std::vector<uint32_t> rep(n);
-    std::unordered_map<uint32_t, uint32_t> min_of;
-    for (uint32_t g = 0; g < n; ++g) min_of.emplace(uf.Find(g), g);
-    for (uint32_t g = 0; g < n; ++g) rep[g] = min_of[uf.Find(g)];
-    return rep;
-  };
-
-  SpanningNumbers out;
-  std::vector<uint32_t> eid_spanning;
-  std::vector<uint32_t> eid_cross;
-  for (bool spanning : {true, false}) {
-    Master::Options mo;
-    mo.spanning_pairs = spanning;
-    Master master(&hosts, kWorkers, kTuples, mo);
-    master.Collect(0, facts);
-    std::vector<std::vector<Fact>> inboxes;
-    master.Dispatch(&inboxes);
-    if (spanning) {
-      out.spanning_messages = master.messages_routed();
-      out.spanning_bytes = master.bytes_routed();
-      eid_spanning = canon(master.global_eid(), kTuples);
-    } else {
-      out.crossproduct_messages = master.messages_routed();
-      out.crossproduct_bytes = master.bytes_routed();
-      eid_cross = canon(master.global_eid(), kTuples);
-    }
-  }
-  out.eid_equal = eid_spanning == eid_cross;
-  return out;
+  Master master(&hosts, kWorkers, kTuples);
+  master.Collect(0, facts);
+  std::vector<std::vector<Fact>> inboxes;
+  master.Dispatch(&inboxes);
+  return {master.messages_routed(), master.bytes_routed()};
 }
 
 // --- delta-driven incremental pass -----------------------------------------
@@ -752,8 +721,7 @@ struct IncCascadeRun {
   std::vector<std::pair<Gid, Gid>> pairs;  // Γ's id half, for identity checks
 };
 
-IncCascadeRun RunIncCascade(int levels, size_t leaf_limit, bool inc_parallel,
-                            int threads) {
+IncCascadeRun RunIncCascade(int levels, size_t leaf_limit, int threads) {
   IncCascadeRun out;
   for (int rep = 0; rep < 3; ++rep) {
     // Fresh workload per rep: the protocol consumes the engine (H and Γ are
@@ -765,7 +733,6 @@ IncCascadeRun RunIncCascade(int levels, size_t leaf_limit, bool inc_parallel,
     EngineOptions eo;
     eo.dependency_capacity = 0;
     eo.threads = threads;
-    eo.inc_parallel = inc_parallel;
     ChaseEngine::Options o =
         ChaseEngine::FromEngineOptions(eo, &ThreadPool::Global());
     ChaseEngine engine(&view, &w->up_rules, &w->registry, &ctx, o);
@@ -1259,32 +1226,23 @@ void WriteBenchCoreJson() {
       seq_ctx->MatchedPairs() == pooled_ctx->MatchedPairs() &&
       seq_ctx->ValidatedMlKeys() == pooled_ctx->ValidatedMlKeys();
 
-  // Propagation policy and transport, at the DMatch level: the spanning-pair
-  // run, the cross-product ablation, and a loopback-TCP run must all yield
-  // the same Γ; the message/byte totals quantify what the policy saves on
-  // this workload.
-  auto run_mode = [&](bool spanning, TransportKind kind,
-                      DMatchReport* report) {
+  // Transport, at the DMatch level: the in-process and loopback-TCP runs
+  // must yield the same Γ.
+  auto run_mode = [&](TransportKind kind, DMatchReport* report) {
     gd->registry.ClearCache();
     gd->registry.ResetStats();
     auto ctx = std::make_unique<MatchContext>(gd->dataset);
     DMatchOptions o;
     o.num_workers = 4;
     o.run_parallel = false;
-    o.spanning_pairs = spanning;
     o.transport = kind;
     *report = engine::DMatch(gd->dataset, gd->rules, gd->registry, o, ctx.get());
     return ctx;
   };
   DMatchReport span_report;
-  DMatchReport cross_report;
   DMatchReport tcp_report;
-  auto span_ctx = run_mode(true, TransportKind::kInProcess, &span_report);
-  auto cross_ctx = run_mode(false, TransportKind::kInProcess, &cross_report);
-  auto tcp_ctx = run_mode(true, TransportKind::kLoopbackTcp, &tcp_report);
-  const bool gamma_equal =
-      span_ctx->MatchedPairs() == cross_ctx->MatchedPairs() &&
-      span_ctx->ValidatedMlKeys() == cross_ctx->ValidatedMlKeys();
+  auto span_ctx = run_mode(TransportKind::kInProcess, &span_report);
+  auto tcp_ctx = run_mode(TransportKind::kLoopbackTcp, &tcp_report);
   const bool tcp_pairs_equal =
       span_ctx->MatchedPairs() == tcp_ctx->MatchedPairs() &&
       span_ctx->ValidatedMlKeys() == tcp_ctx->ValidatedMlKeys();
@@ -1293,13 +1251,10 @@ void WriteBenchCoreJson() {
   SpanningNumbers spanning = MeasureSpanning();
 
   // Delta-driven pass: |Δ|-scaling on the tournament cascade (full vs half
-  // leaf set), the sequential-ablation identity, and the update stream.
-  IncCascadeRun inc_full = RunIncCascade(10, size_t(-1), /*inc_parallel=*/true,
-                                         /*threads=*/2);
-  IncCascadeRun inc_half = RunIncCascade(10, 512, /*inc_parallel=*/true,
-                                         /*threads=*/2);
-  IncCascadeRun inc_seq = RunIncCascade(10, size_t(-1), /*inc_parallel=*/false,
-                                        /*threads=*/1);
+  // leaf set), the inline (threads=1) identity, and the update stream.
+  IncCascadeRun inc_full = RunIncCascade(10, size_t(-1), /*threads=*/2);
+  IncCascadeRun inc_half = RunIncCascade(10, 512, /*threads=*/2);
+  IncCascadeRun inc_seq = RunIncCascade(10, size_t(-1), /*threads=*/1);
   const bool inc_pairs_equal = inc_full.pairs == inc_seq.pairs;
   UpdateStreamNumbers stream = MeasureUpdateStream();
   ServiceNumbers service = MeasureService();
@@ -1417,16 +1372,11 @@ void WriteBenchCoreJson() {
   w.KV("route_bytes", routing.bytes);
   w.KV("route_inboxes_equal", routing.inboxes_equal);
   // Propagation policy: master-level message/byte volume on the
-  // class-merge-heavy tournament workload, and Γ identity of the two
-  // policies (and the TCP transport) at the DMatch level.
+  // class-merge-heavy tournament workload, the DMatch-level volume, and Γ
+  // identity of the TCP transport.
   w.KV("route_messages_spanning", spanning.spanning_messages);
-  w.KV("route_messages_crossproduct", spanning.crossproduct_messages);
   w.KV("route_bytes_spanning", spanning.spanning_bytes);
-  w.KV("route_bytes_crossproduct", spanning.crossproduct_bytes);
-  w.KV("route_eid_equal", spanning.eid_equal);
   w.KV("dmatch_messages_spanning", span_report.messages);
-  w.KV("dmatch_messages_crossproduct", cross_report.messages);
-  w.KV("route_gamma_equal", gamma_equal);
   w.KV("tcp_transport", tcp_report.transport);
   w.KV("tcp_pairs_equal", tcp_pairs_equal);
   // Delta-driven incremental pass (the batched semi-naive IncDeduce).
@@ -1457,8 +1407,8 @@ void WriteBenchCoreJson() {
   // proportional to the dataset rather than the delta.
   w.KV("inc_delta_scaling_ratio",
        inc_half_per_leaf > 0 ? inc_full_per_leaf / inc_half_per_leaf : 0.0);
-  // The inc_parallel=false ablation (per-item sequential loop) on the same
-  // full-|Δ| cascade; Γ must be bit-identical.
+  // The threads=1 run (every round inline) on the same full-|Δ| cascade;
+  // Γ must be bit-identical.
   w.KV("inc_seq_seconds", inc_seq.seconds);
   w.KV("inc_seq_seeded_joins", inc_seq.seeded_joins);
   w.KV("inc_pairs_equal", inc_pairs_equal);
@@ -1474,7 +1424,7 @@ void WriteBenchCoreJson() {
   w.KV("inc_speedup_simulated", inc_speedup_simulated);
   if (inc_full.seconds >= inc_seq.seconds && hw < 4) {
     w.KV("inc_speedup_warning",
-         "batched pooled IncDeduce did not beat the sequential ablation on "
+         "batched pooled IncDeduce did not beat the threads=1 inline run on "
          "this host: " + std::to_string(hw) +
              " hardware thread(s) cannot run the round's chunks in "
              "parallel, so the wall gap is oversubscription artifact; "
@@ -1646,13 +1596,9 @@ void WriteBenchCoreJson() {
               route_speedup_simulated, routing.inboxes_equal,
               static_cast<unsigned long long>(routing.messages),
               static_cast<unsigned long long>(routing.bytes));
-  std::printf("propagation: spanning=%llu msgs (%llu B) crossproduct=%llu "
-              "msgs (%llu B) eid_equal=%d gamma_equal=%d\n",
+  std::printf("propagation: spanning=%llu msgs (%llu B)\n",
               static_cast<unsigned long long>(spanning.spanning_messages),
-              static_cast<unsigned long long>(spanning.spanning_bytes),
-              static_cast<unsigned long long>(spanning.crossproduct_messages),
-              static_cast<unsigned long long>(spanning.crossproduct_bytes),
-              spanning.eid_equal, gamma_equal);
+              static_cast<unsigned long long>(spanning.spanning_bytes));
   std::printf("transport: dmatch over %s, pairs_equal=%d\n",
               tcp_report.transport, tcp_pairs_equal);
   std::printf("inc cascade: full(%zu leaves)=%.4fs half(%zu)=%.4fs "

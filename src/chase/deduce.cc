@@ -15,7 +15,6 @@ ChaseEngine::Options ChaseEngine::FromEngineOptions(const EngineOptions& eo,
   Options o;
   o.dependency_capacity = eo.dependency_capacity;
   o.share_indices = eo.use_mqo;
-  o.inc_parallel = eo.inc_parallel;
   o.ml_index = eo.ml_index;
   o.ml_index_approx = eo.ml_index_approx;
   if (eo.threads > 1 && pool != nullptr) {
@@ -68,57 +67,35 @@ ChaseEngine::ChaseEngine(
     ml_policy_.derivable = std::make_shared<const std::unordered_set<uint64_t>>(
         DerivableMlKeys(*rules_));
   }
+  // One scope per (rule, block); without rule_views each rule's one block
+  // is view_ itself. MQO shares an index among blocks with identical
+  // contents (common across rules with shared hash functions; every block
+  // of the unscoped form), noMQO pays per-scope index construction.
+  const bool scoped = rule_views != nullptr;
+  if (scoped) scopes_of_gid_.resize(rules_->size());
   scopes_.resize(rules_->size());
-  if (rule_views == nullptr) {
-    // Sequential form: one scope per rule over the full view; MQO shares a
-    // single index set, noMQO pays per-rule index construction.
-    if (options_.share_indices) {
-      shared_index_ = std::make_unique<DatasetIndex>(view_, options_.profiles);
-    }
-    for (size_t i = 0; i < rules_->size(); ++i) {
-      DatasetIndex* index = shared_index_.get();
-      if (index == nullptr) {
-        owned_indices_.push_back(
-            std::make_unique<DatasetIndex>(view_, options_.profiles));
-        index = owned_indices_.back().get();
-      }
-      Scope scope;
-      scope.index = index;
-      scope.joiner = std::make_unique<RuleJoiner>(index, &rules_->rule(i),
-                                                  registry_, ctx_);
-      scope.joiner->ConfigureMlIndex(ml_policy_);
-      scopes_[i].push_back(std::move(scope));
-    }
-    return;
-  }
-  // Parallel form: one scope per (rule, assigned block). MQO shares an
-  // index among blocks with identical contents (common across rules with
-  // shared hash functions).
-  scopes_of_gid_.resize(rules_->size());
   std::unordered_map<uint64_t, DatasetIndex*> by_signature;
   for (size_t i = 0; i < rules_->size(); ++i) {
-    for (const DatasetView& block : (*rule_views)[i]) {
-      uint32_t scope_idx = static_cast<uint32_t>(scopes_[i].size());
-      for (size_t rel = 0; rel < block.num_relations(); ++rel) {
-        for (uint32_t row : block.rows(rel)) {
-          scopes_of_gid_[i][view_->dataset().relation(rel).gid(row)]
-              .push_back(scope_idx);
+    const size_t num_blocks = scoped ? (*rule_views)[i].size() : 1;
+    for (size_t b = 0; b < num_blocks; ++b) {
+      const DatasetView* block = scoped ? &(*rule_views)[i][b] : view_;
+      if (scoped) {
+        for (size_t rel = 0; rel < block->num_relations(); ++rel) {
+          for (uint32_t row : block->rows(rel)) {
+            scopes_of_gid_[i][view_->dataset().relation(rel).gid(row)]
+                .push_back(static_cast<uint32_t>(b));
+          }
         }
       }
-      DatasetIndex* index = nullptr;
-      if (options_.share_indices) {
-        uint64_t sig = ViewSignature(block);
-        auto it = by_signature.find(sig);
-        if (it != by_signature.end()) index = it->second;
-        if (index == nullptr) {
-          owned_indices_.push_back(
-              std::make_unique<DatasetIndex>(&block, options_.profiles));
-          index = owned_indices_.back().get();
-          by_signature.emplace(sig, index);
-        }
-      } else {
+      // Every unscoped block is view_, so one signature covers them all.
+      DatasetIndex* unshared = nullptr;
+      DatasetIndex*& index =
+          options_.share_indices
+              ? by_signature[scoped ? ViewSignature(*block) : 0]
+              : unshared;
+      if (index == nullptr) {
         owned_indices_.push_back(
-            std::make_unique<DatasetIndex>(&block, options_.profiles));
+            std::make_unique<DatasetIndex>(block, options_.profiles));
         index = owned_indices_.back().get();
       }
       Scope scope;
@@ -131,43 +108,46 @@ ChaseEngine::ChaseEngine(
   }
 }
 
-std::vector<Gid> ChaseEngine::GidsOf(size_t rule_idx,
-                                     const std::vector<uint32_t>& rows) const {
-  const Rule& rule = rules_->rule(rule_idx);
-  std::vector<Gid> out(rows.size());
-  for (size_t v = 0; v < rows.size(); ++v) {
-    out[v] = view_->dataset().relation(rule.var_relation(v)).gid(rows[v]);
-  }
-  return out;
-}
-
-bool ChaseEngine::ApplyFactAndFire(const Fact& fact, int rule,
+void ChaseEngine::ApplyFactAndFire(const Fact& fact, int rule,
                                    const std::vector<Gid>& valuation,
                                    Delta* delta) {
-  Delta local;
-  if (!ctx_->Apply(fact, &local)) return false;
-  if (fact.kind == Fact::Kind::kId) {
-    ++stats_.matches;
-  } else {
-    ++stats_.validated_ml;
-  }
-  if (ProvenanceLog* prov = ctx_->provenance()) {
-    prov->Record(fact, rule, valuation);
-  }
-
-  // Every newly-true key may fire dependencies or obsolete their targets.
+  // Depth-first over fired dependencies with an explicit stack, so a long
+  // dependency chain costs heap, not call stack. Each fact is applied, its
+  // provenance recorded and its local delta appended before the
+  // dependencies it fires run, in firing order, each with its whole
+  // cascade: the preorder that Γ, the stats and the golden hashes rely on.
+  std::vector<DependencyStore::Dependency> pending;  // top = next to fire
   std::vector<DependencyStore::Dependency> fired;
-  if (fact.kind == Fact::Kind::kMl) {
-    deps_.OnKeyTrue(fact.Key(), &fired);
-  } else {
-    for (auto [a, b] : local.id_pairs) deps_.OnKeyTrue(IdPairKey(a, b), &fired);
-  }
-  delta->Append(local);
-  for (const auto& dep : fired) {
+  Delta local;
+  auto apply = [&](const Fact& f, int r, const std::vector<Gid>& v) {
+    local.clear();
+    if (!ctx_->Apply(f, &local)) return;
+    if (f.kind == Fact::Kind::kId) {
+      ++stats_.matches;
+    } else {
+      ++stats_.validated_ml;
+    }
+    if (ProvenanceLog* prov = ctx_->provenance()) prov->Record(f, r, v);
+    // Every newly-true key may fire dependencies or obsolete their targets.
+    fired.clear();
+    if (f.kind == Fact::Kind::kMl) {
+      deps_.OnKeyTrue(f.Key(), &fired);
+    } else {
+      for (auto [a, b] : local.id_pairs) {
+        deps_.OnKeyTrue(IdPairKey(a, b), &fired);
+      }
+    }
+    delta->Append(local);
+    pending.insert(pending.end(), std::make_move_iterator(fired.rbegin()),
+                   std::make_move_iterator(fired.rend()));
+  };
+  apply(fact, rule, valuation);
+  while (!pending.empty()) {
+    const DependencyStore::Dependency dep = std::move(pending.back());
+    pending.pop_back();
     ++stats_.deps_fired;
-    ApplyFactAndFire(dep.target, dep.rule, dep.valuation, delta);
+    apply(dep.target, dep.rule, dep.valuation);
   }
-  return true;
 }
 
 void ChaseEngine::HandleValuation(size_t rule_idx, RuleJoiner* joiner,
@@ -175,15 +155,21 @@ void ChaseEngine::HandleValuation(size_t rule_idx, RuleJoiner* joiner,
                                   const std::vector<int>& unsat,
                                   Delta* delta) {
   const Rule& rule = rules_->rule(rule_idx);
+  auto gid = [&](size_t var) {
+    return view_->dataset().relation(rule.var_relation(var)).gid(rows[var]);
+  };
+  auto valuation = [&] {
+    std::vector<Gid> out(rows.size());
+    for (size_t v = 0; v < rows.size(); ++v) out[v] = gid(v);
+    return out;
+  };
 
   // Build the consequence fact under this valuation.
   const Predicate& c = rule.consequence();
   Fact target;
   if (c.kind == PredicateKind::kIdEq) {
-    Gid a = view_->dataset().relation(rule.var_relation(c.lhs.var))
-                .gid(rows[c.lhs.var]);
-    Gid b = view_->dataset().relation(rule.var_relation(c.rhs.var))
-                .gid(rows[c.rhs.var]);
+    const Gid a = gid(c.lhs.var);
+    const Gid b = gid(c.rhs.var);
     if (a == b) return;  // reflexive, nothing to deduce
     target = Fact::IdMatch(a, b);
     if (ctx_->Matched(a, b)) return;  // already in Γ
@@ -193,8 +179,7 @@ void ChaseEngine::HandleValuation(size_t rule_idx, RuleJoiner* joiner,
   }
 
   if (unsat.empty()) {
-    ApplyFactAndFire(target, static_cast<int>(rule_idx), GidsOf(rule_idx, rows),
-                     delta);
+    ApplyFactAndFire(target, static_cast<int>(rule_idx), valuation(), delta);
     return;
   }
 
@@ -204,29 +189,25 @@ void ChaseEngine::HandleValuation(size_t rule_idx, RuleJoiner* joiner,
   for (int i : unsat) {
     const Predicate& p = rule.preconditions()[i];
     if (p.kind == PredicateKind::kIdEq) {
-      Gid a = view_->dataset().relation(rule.var_relation(p.lhs.var))
-                  .gid(rows[p.lhs.var]);
-      Gid b = view_->dataset().relation(rule.var_relation(p.rhs.var))
-                  .gid(rows[p.rhs.var]);
-      required.push_back(IdPairKey(a, b));
+      required.push_back(IdPairKey(gid(p.lhs.var), gid(p.rhs.var)));
     } else {
       required.push_back(joiner->MlFactFor(p, rows).Key());
     }
   }
   if (deps_.Add(target, std::move(required), static_cast<int>(rule_idx),
-                GidsOf(rule_idx, rows))) {
+                valuation())) {
     ++stats_.deps_added;
   } else {
     ++stats_.deps_dropped;
   }
 }
 
-bool ChaseEngine::ParallelEnumerate(size_t rule_idx, Scope& scope,
+bool ChaseEngine::ParallelEnumerate(size_t rule_idx, uint32_t scope_idx,
                                     Delta* delta) {
   if (options_.pool == nullptr || options_.enumeration_shards <= 1) {
     return false;
   }
-  RuleJoiner* joiner = scope.joiner.get();
+  RuleJoiner* joiner = scopes_[rule_idx][scope_idx].joiner.get();
   const size_t num_roots = joiner->RootCandidateCount();
   if (num_roots < options_.min_parallel_root) return false;
 
@@ -235,76 +216,79 @@ bool ChaseEngine::ParallelEnumerate(size_t rule_idx, Scope& scope,
   const size_t shards =
       std::min<size_t>(static_cast<size_t>(options_.enumeration_shards),
                        num_roots);
+  // Shard s enumerates the s-th contiguous slice of the root candidates, so
+  // replaying shards in order reproduces Enumerate's sequence. Shard tasks
+  // also warm the ML prediction cache, which is where the leaf-evaluation
+  // time goes.
+  std::vector<RecordJob> jobs;
+  for (size_t s = 0; s < shards; ++s) {
+    jobs.push_back({static_cast<uint32_t>(rule_idx), scope_idx,
+                    num_roots * s / shards, num_roots * (s + 1) / shards});
+  }
+  RecordAndReplay(
+      &jobs,
+      [](const RecordJob& job, RuleJoiner* shard_joiner,
+         const RuleJoiner::Callback& record) {
+        shard_joiner->EnumerateRange(job.begin, job.end, record);
+      },
+      delta);
+  return true;
+}
 
-  // Shards enumerate against the context frozen at this point (the merge
-  // below is the only writer, and it runs strictly after Wait). They record
-  // every leaf valuation; `unsat` is computed against the snapshot, so it is
-  // a superset of what sequential Deduce would have seen at that valuation —
-  // the merge re-checks and drops entries satisfied by earlier merged facts,
-  // restoring the sequential unsat exactly. Shard tasks also warm the ML
-  // prediction cache, which is where the leaf-evaluation time goes.
-  // Flat per-shard buffers (fixed row stride, length-prefixed unsat runs):
-  // recording a leaf valuation is two memcpy-style appends, no per-leaf
-  // allocation.
-  const size_t stride = rules_->rule(rule_idx).num_vars();
-  struct ShardOut {
-    std::vector<uint32_t> rows;  // stride-sized groups
-    std::vector<int> unsat;      // [len, idx...] per recorded valuation
-    JoinCounters counters;
-  };
-  std::vector<ShardOut> found(shards);
+void ChaseEngine::RecordAndReplay(std::vector<RecordJob>* jobs,
+                                  const JobEnumerator& enumerate,
+                                  Delta* delta) {
   {
     // Pool workers have their own (empty) thread-local trace context —
-    // re-install the dispatching thread's so shard spans keep the request's
+    // re-install the dispatching thread's so job spans keep the request's
     // trace_id.
     const obs::TraceContext trace_ctx = obs::CurrentTraceContext();
     TaskGroup group(options_.pool);
-    for (size_t s = 0; s < shards; ++s) {
-      const size_t lo = num_roots * s / shards;
-      const size_t hi = num_roots * (s + 1) / shards;
-      ShardOut* out = &found[s];
-      group.Run([this, rule_idx, &scope, out, lo, hi, trace_ctx] {
+    for (RecordJob& job : *jobs) {
+      group.Run([this, &job, &enumerate, trace_ctx] {
         obs::TraceContextScope trace_scope(trace_ctx);
-        RuleJoiner shard_joiner(scope.index, &rules_->rule(rule_idx),
-                                registry_, ctx_);
-        // Same ML policy as the scope joiner: plans (and thus the shard
-        // slicing of the root candidate list) must agree across the scope
-        // joiner and every shard. PrewarmIndexes above already built the
-        // ML indices, so shard probes only read.
-        shard_joiner.ConfigureMlIndex(ml_policy_);
-        shard_joiner.set_shared_context_reads(true);
-        shard_joiner.EnumerateRange(
-            lo, hi,
-            [out](const std::vector<uint32_t>& rows,
-                  const std::vector<int>& unsat) {
-              out->rows.insert(out->rows.end(), rows.begin(), rows.end());
-              out->unsat.push_back(static_cast<int>(unsat.size()));
-              out->unsat.insert(out->unsat.end(), unsat.begin(), unsat.end());
-              return true;
-            });
-        out->counters = shard_joiner.counters();
+        Timer job_timer;
+        // Same ML policy as the scope joiner: plans (and thus the slicing of
+        // the root candidate list) must agree with it. The caller prewarmed
+        // the scope's indices, so probes only read.
+        RuleJoiner joiner(scopes_[job.rule][job.scope].index,
+                          &rules_->rule(job.rule), registry_, ctx_);
+        joiner.ConfigureMlIndex(ml_policy_);
+        joiner.set_shared_context_reads(true);
+        enumerate(job, &joiner,
+                  [&job](const std::vector<uint32_t>& rows,
+                         const std::vector<int>& unsat) {
+                    job.rows.insert(job.rows.end(), rows.begin(), rows.end());
+                    job.unsat.push_back(static_cast<int>(unsat.size()));
+                    job.unsat.insert(job.unsat.end(), unsat.begin(),
+                                     unsat.end());
+                    return true;
+                  });
+        job.counters = joiner.counters();
+        job.seconds = job_timer.ElapsedSeconds();
       });
     }
     group.Wait();
   }
 
-  std::vector<uint32_t> rows(stride);
+  std::vector<uint32_t> rows;
   std::vector<int> still_unsat;
-  for (const ShardOut& out : found) {
+  for (const RecordJob& job : *jobs) {
+    RuleJoiner* joiner = scopes_[job.rule][job.scope].joiner.get();
+    const size_t stride = rules_->rule(job.rule).num_vars();
     size_t u = 0;
-    for (size_t r = 0; r + stride <= out.rows.size(); r += stride) {
-      rows.assign(out.rows.begin() + r, out.rows.begin() + r + stride);
-      const int len = out.unsat[u++];
+    for (size_t r = 0; r + stride <= job.rows.size(); r += stride) {
+      rows.assign(job.rows.begin() + r, job.rows.begin() + r + stride);
+      const int len = job.unsat[u++];
       still_unsat.clear();
       for (int k = 0; k < len; ++k) {
-        const int i = out.unsat[u++];
+        const int i = job.unsat[u++];
         if (!joiner->LeafHolds(i, rows)) still_unsat.push_back(i);
       }
-      HandleValuation(rule_idx, joiner, rows, still_unsat, delta);
+      HandleValuation(job.rule, joiner, rows, still_unsat, delta);
     }
-    AddJoinCounters(&stats_, out.counters);
+    AddJoinCounters(&stats_, job.counters);
   }
-  return true;
 }
 
 void ChaseEngine::Deduce(Delta* delta) {
@@ -318,34 +302,24 @@ void ChaseEngine::Deduce(Delta* delta) {
                     "chase.rule_deduce_seconds", obs::Histogram::Unit::kNanos)
               : nullptr;
   for (size_t ri = 0; ri < rules_->size(); ++ri) {
-    const Rule& rule = rules_->rule(ri);
-    for (Scope& scope : scopes_[ri]) {
-      // A block missing one of the rule's relations entirely cannot host
-      // any valuation; skip it before paying the enumeration setup.
-      bool feasible = true;
-      for (size_t v = 0; v < rule.num_vars() && feasible; ++v) {
-        feasible = !scope.index->view()
-                        .rows(rule.var_relation(static_cast<int>(v)))
-                        .empty();
-      }
-      if (!feasible) continue;
+    for (uint32_t si = 0; si < scopes_[ri].size(); ++si) {
+      // Skip infeasible blocks before paying the enumeration setup.
+      if (!ScopeFeasible(ri, si)) continue;
       std::optional<obs::TraceSpan> span;
-      if (obs::TraceEnabled()) span.emplace("deduce:" + rule.name());
-      Timer rule_timer;
-      if (ParallelEnumerate(ri, scope, delta)) {
-        if (rule_hist != nullptr) {
-          rule_hist->RecordSeconds(rule_timer.ElapsedSeconds());
-        }
-        continue;
+      if (obs::TraceEnabled()) {
+        span.emplace("deduce:" + rules_->rule(ri).name());
       }
-      RuleJoiner* joiner = scope.joiner.get();
-      JoinCounters before = joiner->counters();
-      joiner->Enumerate([&](const std::vector<uint32_t>& rows,
-                            const std::vector<int>& unsat) {
-        HandleValuation(ri, joiner, rows, unsat, delta);
-        return true;
-      });
-      AddJoinCounters(&stats_, joiner->counters() - before);
+      Timer rule_timer;
+      if (!ParallelEnumerate(ri, si, delta)) {
+        RuleJoiner* joiner = scopes_[ri][si].joiner.get();
+        JoinCounters before = joiner->counters();
+        joiner->Enumerate([&](const std::vector<uint32_t>& rows,
+                              const std::vector<int>& unsat) {
+          HandleValuation(ri, joiner, rows, unsat, delta);
+          return true;
+        });
+        AddJoinCounters(&stats_, joiner->counters() - before);
+      }
       if (rule_hist != nullptr) {
         rule_hist->RecordSeconds(rule_timer.ElapsedSeconds());
       }
@@ -357,10 +331,6 @@ void ChaseEngine::Deduce(Delta* delta) {
 void ChaseEngine::CountIndices() {
   stats_.indices_built = 0;
   stats_.ml_indices_built = 0;
-  if (shared_index_ != nullptr) {
-    stats_.indices_built += shared_index_->num_indices_built();
-    stats_.ml_indices_built += shared_index_->num_ml_indices_built();
-  }
   for (const auto& idx : owned_indices_) {
     stats_.indices_built += idx->num_indices_built();
     stats_.ml_indices_built += idx->num_ml_indices_built();
@@ -370,37 +340,35 @@ void ChaseEngine::CountIndices() {
 void ChaseEngine::EnqueueFrontier(const Delta& d, DeltaStore* store) {
   // The frontier carries newly-true keys: concrete id pairs (the expanded
   // equivalence closure, not the raw id facts) and validated ML facts.
-  for (auto [a, b] : d.id_pairs) {
-    Fact f = Fact::IdMatch(a, b);
+  auto enqueue = [&](const Fact& f) {
     if (inc_seen_.insert(f.Key()).second) {
       store->Append(f);
     } else {
       ++stats_.inc_dedup_hits;
     }
-  }
+  };
+  for (auto [a, b] : d.id_pairs) enqueue(Fact::IdMatch(a, b));
   for (const Fact& f : d.facts) {
-    if (f.kind != Fact::Kind::kMl) continue;
-    if (inc_seen_.insert(f.Key()).second) {
-      store->Append(f);
-    } else {
-      ++stats_.inc_dedup_hits;
+    if (f.kind == Fact::Kind::kMl) enqueue(f);
+  }
+}
+
+bool ChaseEngine::ScopeFeasible(size_t rule_idx, uint32_t scope_idx) const {
+  const Rule& rule = rules_->rule(rule_idx);
+  const DatasetView& block = scopes_[rule_idx][scope_idx].index->view();
+  for (size_t v = 0; v < rule.num_vars(); ++v) {
+    if (block.rows(rule.var_relation(static_cast<int>(v))).empty()) {
+      return false;
     }
   }
+  return true;
 }
 
 bool ChaseEngine::IncScopeFeasible(size_t rule_idx, uint32_t scope_idx) {
   std::vector<int8_t>& cache = inc_feasible_[rule_idx];
   if (cache.empty()) cache.assign(scopes_[rule_idx].size(), 0);
   int8_t& state = cache[scope_idx];
-  if (state == 0) {
-    const Rule& rule = rules_->rule(rule_idx);
-    const DatasetView& rv = scopes_[rule_idx][scope_idx].index->view();
-    bool feasible = true;
-    for (size_t v = 0; v < rule.num_vars() && feasible; ++v) {
-      feasible = !rv.rows(rule.var_relation(static_cast<int>(v))).empty();
-    }
-    state = feasible ? 1 : -1;
-  }
+  if (state == 0) state = ScopeFeasible(rule_idx, scope_idx) ? 1 : -1;
   return state == 1;
 }
 
@@ -500,14 +468,12 @@ void ChaseEngine::BuildIncRoundTasks() {
 void ChaseEngine::ExecuteIncRoundTasks(Delta* round_out) {
   if (inc_tasks_.empty()) return;
 
-  const bool pooled =
-      options_.inc_parallel && options_.pool != nullptr &&
-      options_.enumeration_shards > 1 &&
-      inc_tasks_.size() >= options_.min_parallel_inc_tasks;
+  const bool pooled = options_.pool != nullptr &&
+                      options_.enumeration_shards > 1 &&
+                      inc_tasks_.size() >= options_.min_parallel_inc_tasks;
   if (!pooled) {
     // Per-task enumeration with immediate application, in the same
-    // (rule, scope, item-order) the merge below replays. Serves both the
-    // inc_parallel=false ablation and rounds too small to be worth forking.
+    // (rule, scope, item-order) the pooled replay reproduces.
     Timer round_timer;
     for (const IncTask& t : inc_tasks_) {
       RuleJoiner* joiner = scopes_[t.rule][t.scope].joiner.get();
@@ -529,104 +495,42 @@ void ChaseEngine::ExecuteIncRoundTasks(Delta* round_out) {
     return;
   }
 
-  // Record-then-merge, same contract as ParallelEnumerate: chunks are
-  // contiguous runs of tasks sharing a (rule, scope), each enumerated on the
-  // pool by a private joiner against the context frozen here (the merge
-  // below is the only writer, and it runs strictly after Wait). Recorded
-  // `unsat` is a snapshot superset; the merge re-checks it at processing
-  // time, restoring exactly what the immediate path would have computed at
-  // that point — so both paths produce the identical HandleValuation
-  // sequence (see DESIGN.md "Delta-driven fixpoint").
-  // Prewarm each distinct scope joiner so chunk tasks only ever read the
-  // shared indices.
-  for (size_t i = 0; i < inc_tasks_.size(); ++i) {
-    if (i == 0 || inc_tasks_[i].rule != inc_tasks_[i - 1].rule ||
-        inc_tasks_[i].scope != inc_tasks_[i - 1].scope) {
-      scopes_[inc_tasks_[i].rule][inc_tasks_[i].scope].joiner->PrewarmIndexes();
-    }
-  }
-
-  // Flat per-chunk buffers (fixed row stride per chunk, length-prefixed
-  // unsat runs): recording a leaf valuation never allocates per leaf.
-  struct ChunkOut {
-    size_t begin = 0, end = 0;   // task range, all same (rule, scope)
-    std::vector<uint32_t> rows;  // stride-sized groups
-    std::vector<int> unsat;      // [len, idx...] per recorded valuation
-    JoinCounters counters;
-    double seconds = 0;
-  };
+  // Chunks are contiguous runs of tasks sharing a (rule, scope), so each
+  // hands its private joiner a single seeded plan. Prewarm each distinct
+  // scope joiner so chunk tasks only ever read the shared indices.
   const size_t shards = static_cast<size_t>(options_.enumeration_shards);
   const size_t target =
       std::max<size_t>(1, (inc_tasks_.size() + shards - 1) / shards);
-  std::vector<ChunkOut> chunks;
+  std::vector<RecordJob> chunks;
   for (size_t lo = 0; lo < inc_tasks_.size();) {
+    const IncTask& head = inc_tasks_[lo];
+    if (lo == 0 || head.rule != inc_tasks_[lo - 1].rule ||
+        head.scope != inc_tasks_[lo - 1].scope) {
+      scopes_[head.rule][head.scope].joiner->PrewarmIndexes();
+    }
     size_t hi = lo + 1;
     while (hi < inc_tasks_.size() && hi - lo < target &&
-           inc_tasks_[hi].rule == inc_tasks_[lo].rule &&
-           inc_tasks_[hi].scope == inc_tasks_[lo].scope) {
+           inc_tasks_[hi].rule == head.rule &&
+           inc_tasks_[hi].scope == head.scope) {
       ++hi;
     }
-    ChunkOut c;
-    c.begin = lo;
-    c.end = hi;
-    chunks.push_back(std::move(c));
+    chunks.push_back({head.rule, head.scope, lo, hi});
     lo = hi;
   }
-
-  {
-    const obs::TraceContext trace_ctx = obs::CurrentTraceContext();
-    TaskGroup group(options_.pool);
-    for (ChunkOut& chunk : chunks) {
-      ChunkOut* out = &chunk;
-      group.Run([this, out, trace_ctx] {
-        obs::TraceContextScope trace_scope(trace_ctx);
-        Timer chunk_timer;
-        const IncTask& head = inc_tasks_[out->begin];
-        Scope& scope = scopes_[head.rule][head.scope];
-        RuleJoiner chunk_joiner(scope.index, &rules_->rule(head.rule),
-                                registry_, ctx_);
-        chunk_joiner.ConfigureMlIndex(ml_policy_);
-        chunk_joiner.set_shared_context_reads(true);
-        for (size_t i = out->begin; i < out->end; ++i) {
+  RecordAndReplay(
+      &chunks,
+      [this](const RecordJob& chunk, RuleJoiner* chunk_joiner,
+             const RuleJoiner::Callback& record) {
+        for (size_t i = chunk.begin; i < chunk.end; ++i) {
           const IncTask& t = inc_tasks_[i];
           std::pair<int, uint32_t> seed_arr[2] = {{t.lvar, t.lrow},
                                                   {t.rvar, t.rrow}};
-          chunk_joiner.EnumerateSeeded(
-              seed_arr, [out](const std::vector<uint32_t>& rows,
-                              const std::vector<int>& unsat) {
-                out->rows.insert(out->rows.end(), rows.begin(), rows.end());
-                out->unsat.push_back(static_cast<int>(unsat.size()));
-                out->unsat.insert(out->unsat.end(), unsat.begin(),
-                                  unsat.end());
-                return true;
-              });
+          chunk_joiner->EnumerateSeeded(seed_arr, record);
         }
-        out->counters = chunk_joiner.counters();
-        out->seconds = chunk_timer.ElapsedSeconds();
-      });
-    }
-    group.Wait();
-  }
-
-  std::vector<uint32_t> rows;
-  std::vector<int> still_unsat;
+      },
+      round_out);
   double round_max = 0;
-  for (const ChunkOut& chunk : chunks) {
-    const IncTask& head = inc_tasks_[chunk.begin];
-    RuleJoiner* joiner = scopes_[head.rule][head.scope].joiner.get();
-    const size_t stride = rules_->rule(head.rule).num_vars();
-    size_t u = 0;
-    for (size_t r = 0; r + stride <= chunk.rows.size(); r += stride) {
-      rows.assign(chunk.rows.begin() + r, chunk.rows.begin() + r + stride);
-      const int len = chunk.unsat[u++];
-      still_unsat.clear();
-      for (int k = 0; k < len; ++k) {
-        const int i = chunk.unsat[u++];
-        if (!joiner->LeafHolds(i, rows)) still_unsat.push_back(i);
-      }
-      HandleValuation(head.rule, joiner, rows, still_unsat, round_out);
-    }
-    AddJoinCounters(&stats_, chunk.counters);
+  for (const RecordJob& chunk : chunks) {
     inc_task_seconds_sum_ += chunk.seconds;
     round_max = std::max(round_max, chunk.seconds);
   }
@@ -693,7 +597,6 @@ void ChaseEngine::NotifyAppend(std::span<const Gid> gids) {
       index->NotifyAppend(view_->dataset().loc(gid).relation, row);
     }
   };
-  if (shared_index_ != nullptr) notify(shared_index_.get());
   for (auto& index : owned_indices_) notify(index.get());
 }
 
@@ -707,7 +610,6 @@ void ChaseEngine::DeduceForNewTuples(std::span<const Gid> new_gids,
         RuleJoiner* joiner = scope.joiner.get();
         uint32_t row = scope.index->view().RowOf(gid);
         if (row == kInvalidGid) continue;
-        (void)loc;
         for (size_t v = 0; v < rule.num_vars(); ++v) {
           if (rule.var_relation(static_cast<int>(v)) !=
               static_cast<int>(loc.relation)) {

@@ -1,6 +1,7 @@
 #ifndef DCER_CHASE_DEDUCE_H_
 #define DCER_CHASE_DEDUCE_H_
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <unordered_set>
@@ -56,12 +57,10 @@ class ChaseEngine {
     /// reads it. nullptr keeps every ML path on the per-pair text kernels.
     /// Bit-identical results either way.
     const ProfileStore* profiles = nullptr;
-    /// Batched semi-naive IncDeduce (see EngineOptions::inc_parallel): each
-    /// round's re-joins are recorded against a frozen snapshot and merged in
-    /// (rule, scope, item-order); rounds with at least
-    /// `min_parallel_inc_tasks` re-joins fan the recording out on `pool`.
-    /// false = the per-item sequential loop (ablation); identical results.
-    bool inc_parallel = true;
+    /// IncDeduce rounds with at least this many re-joins record them on
+    /// `pool` against a frozen snapshot and merge in (rule, scope,
+    /// item-order); smaller rounds (and every round without a pool) apply
+    /// each re-join inline in that same order. Identical results.
     size_t min_parallel_inc_tasks = 32;
   };
 
@@ -73,13 +72,15 @@ class ChaseEngine {
   /// skewed shards) only when eo.threads > 1.
   static Options FromEngineOptions(const EngineOptions& eo, ThreadPool* pool);
 
-  /// Evaluates every rule over `view`. Sequential Match uses this with the
-  /// full-dataset view.
+  /// Evaluates every rule over `view`: the scoped form below with one
+  /// block per rule, that block being `view` itself (so rows the owner
+  /// appends to `view` reach the indices through NotifyAppend). Sequential
+  /// Match and the Resolver use this with the full-dataset view.
   ChaseEngine(const DatasetView* view, const RuleSet* rules,
               const MlRegistry* registry, MatchContext* ctx, Options options);
 
-  /// Parallel-worker form: rule r is evaluated separately inside each of
-  /// its assigned virtual blocks (*rule_views)[r] (see
+  /// Scoped (DMatch-worker) form: rule r is evaluated separately inside
+  /// each of its assigned virtual blocks (*rule_views)[r] (see
   /// Partition::rule_views) — never across blocks, so the cluster performs
   /// each rule's join work exactly once in total. `union_view` hosts
   /// everything the worker holds and is used for gid resolution. With
@@ -150,8 +151,8 @@ class ChaseEngine {
 
   // Applies `fact` (derived by rule/valuation; rule < 0 for external facts)
   // and fires dependencies transitively. Appends all newly true facts and
-  // pairs to *delta. Returns true iff the fact was new.
-  bool ApplyFactAndFire(const Fact& fact, int rule,
+  // pairs to *delta.
+  void ApplyFactAndFire(const Fact& fact, int rule,
                         const std::vector<Gid>& valuation, Delta* delta);
 
   // Shared handling of one complete valuation of rule `rule_idx` found by
@@ -163,10 +164,31 @@ class ChaseEngine {
   // Parallel enumeration of one scope (see Options::pool). Returns false
   // when the scope should fall back to the sequential path (no pool, or the
   // root candidate list is too small to be worth forking).
-  bool ParallelEnumerate(size_t rule_idx, Scope& scope, Delta* delta);
+  bool ParallelEnumerate(size_t rule_idx, uint32_t scope_idx, Delta* delta);
 
-  std::vector<Gid> GidsOf(size_t rule_idx,
-                          const std::vector<uint32_t>& rows) const;
+  // One pool task of record-then-merge: a slice [begin, end) of its scope's
+  // root candidates or of inc_tasks_, and the leaf valuations it recorded —
+  // flat rows at the rule's stride plus length-prefixed unsat runs
+  // ([len, idx...] per valuation), so recording never allocates per leaf.
+  struct RecordJob {
+    uint32_t rule = 0, scope = 0;
+    size_t begin = 0, end = 0;
+    std::vector<uint32_t> rows{};
+    std::vector<int> unsat{};
+    JoinCounters counters{};
+    double seconds = 0;  // the job's enumeration wall time
+  };
+  using JobEnumerator = std::function<void(
+      const RecordJob&, RuleJoiner*, const RuleJoiner::Callback& record)>;
+  // Record-then-merge, shared by parallel Deduce and IncDeduce: each job
+  // runs on the pool with a private read-only joiner over its scope
+  // (`enumerate` drives it into `record`) against the context frozen here;
+  // then this thread — the only writer, strictly after Wait — replays the
+  // jobs in order, re-checking recorded unsat entries (a snapshot superset)
+  // with LeafHolds before HandleValuation. The result is exactly the
+  // HandleValuation sequence of inline enumeration in the same order.
+  void RecordAndReplay(std::vector<RecordJob>* jobs,
+                       const JobEnumerator& enumerate, Delta* delta);
 
   // Sets stats_.indices_built / ml_indices_built to the indices built so
   // far; called after every pass that can build indices lazily.
@@ -186,20 +208,20 @@ class ChaseEngine {
   // Appends d's id pairs and ML facts to *store, skipping (and counting)
   // facts already re-joined during this IncDeduce call.
   void EnqueueFrontier(const Delta& d, DeltaStore* store);
-  // True iff the scope's block hosts rows of every relation the rule joins
-  // (a block missing one cannot host any valuation — same precheck Deduce
-  // runs, resolved once per call here instead of paying a seeded
-  // enumeration per work item).
+  // True iff the scope's block hosts rows of every relation the rule joins;
+  // a block missing one cannot host any valuation.
+  bool ScopeFeasible(size_t rule_idx, uint32_t scope_idx) const;
+  // ScopeFeasible memoized per IncDeduce call, so a seeded enumeration is
+  // not paid per work item on an infeasible scope.
   bool IncScopeFeasible(size_t rule_idx, uint32_t scope_idx);
   // Expands the current frontier into inc_tasks_ (dedup, feasibility,
   // orientation matching).
   void BuildIncRoundTasks();
   // Runs inc_tasks_ (grouped by (rule, scope)) and appends everything newly
-  // derived to *round_out. inc_parallel: record on the pool against the
-  // frozen context, then merge sequentially re-checking recorded unsat
-  // entries; ablation: enumerate each task inline with immediate
-  // application. Both orders are (rule, scope, item-order), so results and
-  // stats are identical (see DESIGN.md "Delta-driven fixpoint").
+  // derived to *round_out: large rounds through RecordAndReplay on the
+  // pool, small ones inline with immediate application. Both orders are
+  // (rule, scope, item-order), so results and stats are identical (see
+  // DESIGN.md "Delta-driven fixpoint").
   void ExecuteIncRoundTasks(Delta* round_out);
 
   const DatasetView* view_;
@@ -211,12 +233,12 @@ class ChaseEngine {
   DependencyStore deps_;
   ChaseStats stats_;
 
-  std::unique_ptr<DatasetIndex> shared_index_;
   std::vector<std::unique_ptr<DatasetIndex>> owned_indices_;
   std::vector<std::vector<Scope>> scopes_;  // [rule][block]
-  // Per rule: gid -> indices of the scopes hosting it. Lets the
-  // update-driven pass touch only the blocks that can host a seeded
-  // valuation instead of scanning every (rule, block) pair per work item.
+  // Scoped form only (empty for a full view, whose one block per rule
+  // hosts every gid): per rule, gid -> indices of the scopes hosting it.
+  // Lets the update-driven pass touch only the blocks that can host a
+  // seeded valuation instead of scanning every (rule, block) pair per item.
   std::vector<std::unordered_map<Gid, std::vector<uint32_t>>> scopes_of_gid_;
 
   // Semi-naive frontier state, reused across rounds and IncDeduce calls

@@ -16,11 +16,12 @@ enum class TransportKind : uint8_t { kInProcess, kLoopbackTcp };
 
 /// Engine knobs shared by every entry point that runs a chase — the
 /// sequential engine::Match, the BSP DMatch workers, and the Resolver's
-/// incremental Append path. Factored into one
-/// base so a setting cannot drift between the sequential and parallel paths:
-/// MatchOptions and DMatchOptions both inherit this, and both map it onto
+/// open and Append paths. Factored into one base so a setting cannot drift
+/// between the sequential and parallel paths: MatchOptions, DMatchOptions
+/// and ResolverOptions all inherit this, and all map it onto
 /// ChaseEngine::Options through the same helper
-/// (ChaseEngine::FromEngineOptions).
+/// (ChaseEngine::FromEngineOptions). Every knob here changes cost, never
+/// Γ or E_id.
 struct EngineOptions {
   /// Capacity K of the dependency set H (per worker under DMatch). Dropped
   /// dependencies only cost re-joins, never results.
@@ -28,21 +29,14 @@ struct EngineOptions {
   /// MQO on/off: shared inverted indices in the chase (and shared HyPart
   /// hash functions under DMatch). Off = the DMatch_noMQO ablation.
   bool use_mqo = true;
-  /// Pool threads used to split a chase's join enumeration (per worker
-  /// under DMatch). 1 = fully single-threaded chase, as in the paper's BSP
-  /// model. Any value yields bit-identical results; see DESIGN.md
-  /// "Parallel execution model".
+  /// Pool threads used to split a chase's join enumeration and its large
+  /// IncDeduce rounds (per worker under DMatch). 1 = fully single-threaded
+  /// chase, as in the paper's BSP model. Any value yields bit-identical
+  /// results; see DESIGN.md "Parallel execution model".
   int threads = 1;
   /// Message plane for the BSP exchange (DMatch only; the sequential Match
   /// sends nothing). See TransportKind.
   TransportKind transport = TransportKind::kInProcess;
-  /// Batched semi-naive execution of the update-driven pass (IncDeduce):
-  /// each round's surviving re-joins are grouped by (rule, scope), recorded
-  /// against a frozen context snapshot (on the pool when `threads` > 1) and
-  /// merged deterministically. Off = the per-item sequential work loop, kept
-  /// as the ablation baseline; Γ and E_id are bit-identical either way (see
-  /// DESIGN.md "Delta-driven fixpoint").
-  bool inc_parallel = true;
   /// Similarity-index candidate generation for ML predicates (see DESIGN.md
   /// "ML candidate indices"): token/q-gram indices turn Jaccard and
   /// edit-similarity predicates into index probes instead of cross-product

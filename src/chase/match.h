@@ -1,6 +1,8 @@
 #ifndef DCER_CHASE_MATCH_H_
 #define DCER_CHASE_MATCH_H_
 
+#include <functional>
+
 #include "chase/dataset_profiles.h"
 #include "chase/deduce.h"
 #include "chase/engine_options.h"
@@ -27,6 +29,18 @@ struct MatchReport : RunReport {
 };
 
 namespace engine {
+
+/// The one fixpoint driver (Fig. 3 lines 2-6) over an already-built engine:
+/// `first_pass` (engine->Deduce, or DeduceForNewTuples for an Append), then
+/// IncDeduce, which runs semi-naive rounds until one derives nothing. Every
+/// chase job — Match, a sequential Resolver open, its re-seed after a DMatch
+/// open, each Append — reports through it: `chase` is the engine's stats
+/// delta over the call, `rounds` = 1 + its semi-naive rounds, `seconds`
+/// times both passes, matched_pairs/validated_ml are Γ's sizes after it,
+/// and ml_predictions/ml_cache_hits are `registry`'s deltas. `metrics` is
+/// left empty.
+MatchReport RunFixpoint(ChaseEngine* engine, const MlRegistry& registry,
+                        const std::function<void(Delta*)>& first_pass);
 
 /// Sequential algorithm Match (Fig. 3): chases `view` with `rules` to the
 /// fixpoint Γ, which is left in *ctx. ctx must be freshly constructed over

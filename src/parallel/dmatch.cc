@@ -129,7 +129,6 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
   std::unique_ptr<Transport> transport =
       Transport::Create(options.transport, options.num_workers);
   Master::Options master_options;
-  master_options.spanning_pairs = options.spanning_pairs;
   master_options.pool = options.run_parallel ? &pool : nullptr;
   master_options.transport = transport.get();
   Master master(&partition.hosts, options.num_workers, dataset.num_tuples(),

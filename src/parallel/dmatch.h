@@ -27,12 +27,6 @@ struct DMatchOptions : EngineOptions {
   /// identical; per-superstep max worker time still yields the simulated
   /// parallel time, useful when workers outnumber cores).
   bool run_parallel = true;
-  /// Equivalence propagation policy: true routes the |Ca| + |Cb| spanning
-  /// pairs (x, new-root) per class merge; false restores the seed
-  /// |Ca| × |Cb| cross-product expansion. Γ is identical either way
-  /// (tests assert it) — the flag exists for that assertion and for
-  /// message-volume comparisons in bench/micro_core.
-  bool spanning_pairs = true;
 };
 
 /// Outcome of one DMatch run: the RunReport core (chase stats summed over

@@ -37,31 +37,19 @@ void Master::Collect(int from, std::vector<Fact> facts) {
       continue;
     }
     if (eid_.Same(f.a, f.b)) continue;
-    if (options_.spanning_pairs) {
-      // Route the |Ca| + |Cb| - 1 spanning pairs (x, new-root): every
-      // worker hosting a member x learns x ~ root, and its local
-      // union-find recovers exactly the pairs it can ever need (any
-      // valuation over (x, y) lives where both are hosted — that worker
-      // receives both spanning pairs).
-      std::vector<uint32_t> members = eid_.ClassMembers(f.a);
-      {
-        std::vector<uint32_t> cb = eid_.ClassMembers(f.b);
-        members.insert(members.end(), cb.begin(), cb.end());
-      }
-      eid_.Union(f.a, f.b);
-      const uint32_t root = eid_.Find(f.a);
-      for (uint32_t x : members) {
-        if (x != root) items.push_back(Fact::IdMatch(x, root));
-      }
-    } else {
-      // Seed-compat cross-product expansion: every newly-equivalent
-      // concrete pair, |Ca| × |Cb| route items per merge.
-      std::vector<uint32_t> ca = eid_.ClassMembers(f.a);
+    // Route the |Ca| + |Cb| - 1 spanning pairs (x, new-root): every worker
+    // hosting a member x learns x ~ root, and its local union-find recovers
+    // exactly the pairs it can ever need (any valuation over (x, y) lives
+    // where both are hosted — that worker receives both spanning pairs).
+    std::vector<uint32_t> members = eid_.ClassMembers(f.a);
+    {
       std::vector<uint32_t> cb = eid_.ClassMembers(f.b);
-      eid_.Union(f.a, f.b);
-      for (uint32_t x : ca) {
-        for (uint32_t y : cb) items.push_back(Fact::IdMatch(x, y));
-      }
+      members.insert(members.end(), cb.begin(), cb.end());
+    }
+    eid_.Union(f.a, f.b);
+    const uint32_t root = eid_.Find(f.a);
+    for (uint32_t x : members) {
+      if (x != root) items.push_back(Fact::IdMatch(x, root));
     }
   }
   outbox_messages_ += facts.size();

@@ -25,8 +25,7 @@ class Transport;
 /// spanning pairs through its own union-find (MatchContext::Apply expands
 /// class merges locally), and Lemma 6 guarantees any valuation needing a
 /// concrete pair (x, y) lives on a worker hosting both x and y, which
-/// receives both spanning pairs. Γ is bit-identical to cross-product
-/// routing; tests assert it.
+/// receives both spanning pairs, so Γ equals sequential Match's.
 ///
 /// Dispatch is the parallel section: route items are partitioned by
 /// destination worker and merged per destination on the thread pool —
@@ -39,10 +38,6 @@ class Transport;
 class Master {
  public:
   struct Options {
-    /// Route spanning pairs (x, new-root) on class merges. false restores
-    /// the seed cross-product expansion — an ablation/reference mode kept
-    /// for Γ-equivalence tests and message-volume comparisons.
-    bool spanning_pairs = true;
     /// Runs Dispatch's partition and per-destination merge/encode as pool
     /// tasks. nullptr routes serially; delivered facts are identical.
     ThreadPool* pool = nullptr;
@@ -53,8 +48,8 @@ class Master {
   };
 
   /// `hosts` maps gid -> sorted worker ids hosting that tuple (from HyPart).
-  /// The three-argument form uses default Options (spanning pairs, serial
-  /// routing, no transport).
+  /// The three-argument form uses default Options (serial routing, no
+  /// transport).
   Master(const std::vector<std::vector<uint32_t>>* hosts, int num_workers,
          size_t num_tuples);
   Master(const std::vector<std::vector<uint32_t>>* hosts, int num_workers,

@@ -2,7 +2,6 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -33,7 +32,6 @@ DMatchOptions ToDMatchOptions(const ResolverOptions& options) {
   dmo.num_workers = options.num_workers;
   dmo.use_virtual_blocks = options.use_virtual_blocks;
   dmo.run_parallel = options.run_parallel;
-  dmo.spanning_pairs = options.spanning_pairs;
   return dmo;
 }
 
@@ -47,11 +45,7 @@ void Resolver::RunOpenFixpoint() {
     // The incremental engine (and its dependency store) is built lazily on
     // the first Append; queries only need the published snapshot.
   } else {
-    EnsureEngine();
-    Delta delta;
-    engine_->Deduce(&delta);
-    open_match_report_ =
-        std::make_unique<MatchReport>(RunToFixpoint(std::move(delta)));
+    open_match_report_ = std::make_unique<MatchReport>(BuildEngine());
   }
   Publish();
 }
@@ -80,32 +74,15 @@ std::unique_ptr<Resolver> Resolver::OpenBorrowed(const Dataset& dataset,
   return r;
 }
 
-void Resolver::EnsureEngine() {
-  if (engine_) return;
+MatchReport Resolver::BuildEngine() {
   view_ = std::make_unique<DatasetView>(DatasetView::Full(*dataset_));
   ChaseEngine::Options engine_options =
       ChaseEngine::FromEngineOptions(options_, &ThreadPool::Global());
   engine_options.profiles = profiles_.store();
   engine_ = std::make_unique<ChaseEngine>(view_.get(), &rules_, registry_,
                                           ctx_.get(), engine_options);
-}
-
-MatchReport Resolver::RunToFixpoint(Delta delta) {
-  Timer timer;
-  MatchReport report;
-  // IncDeduce cascades internally until a round derives nothing, so one
-  // call reaches the fixpoint.
-  Delta rest;
-  engine_->IncDeduce(delta, &rest);
-  // Per-call stats: difference against the engine's running counters.
-  const ChaseStats now = engine_->stats();
-  report.chase = now - stats_before_;
-  report.rounds = 1 + static_cast<int>(report.chase.inc_rounds);
-  stats_before_ = now;
-  report.seconds = timer.ElapsedSeconds();
-  report.matched_pairs = ctx_->num_matched_pairs();
-  report.validated_ml = ctx_->num_validated_ml();
-  return report;
+  return engine::RunFixpoint(engine_.get(), *registry_,
+                             [this](Delta* d) { engine_->Deduce(d); });
 }
 
 void Resolver::Publish() {
@@ -131,18 +108,9 @@ AppendOutcome Resolver::Append(TupleBatch batch) {
     return out;
   }
   std::lock_guard<std::mutex> lock(append_mu_);
-  // A DMatch open defers this: the full Deduce over the already-complete
-  // context derives nothing new but seeds the dependency store, after which
-  // appends are |Δ|-proportional.
-  const bool first_engine_use = engine_ == nullptr;
-  EnsureEngine();
-  if (first_engine_use && open_dmatch_report_) {
-    Delta warmup;
-    engine_->Deduce(&warmup);
-    Delta rest;
-    engine_->IncDeduce(warmup, &rest);
-    stats_before_ = engine_->stats();
-  }
+  // Only a DMatch open gets here without an engine: the re-seed, after
+  // which appends are |Δ|-proportional.
+  if (engine_ == nullptr) BuildEngine();
 
   out.gids.reserve(batch.size());
   for (auto& entry : batch.tuples) {
@@ -156,9 +124,9 @@ AppendOutcome Resolver::Append(TupleBatch batch) {
   for (Gid gid : out.gids) view_->Append(gid);
   profiles_.NotifyAppend(out.gids);
   engine_->NotifyAppend(out.gids);
-  Delta delta;
-  engine_->DeduceForNewTuples(out.gids, &delta);
-  out.report = RunToFixpoint(std::move(delta));
+  out.report = engine::RunFixpoint(
+      engine_.get(), *registry_,
+      [&](Delta* d) { engine_->DeduceForNewTuples(out.gids, d); });
 
   Publish();
   out.snapshot_version = version_;

@@ -13,7 +13,7 @@ namespace dcer {
 
 /// Knobs of an open resolver. The EngineOptions base carries everything the
 /// chase itself understands (dependency capacity, MQO, intra-chase threads,
-/// ML indices, incremental batching, transport); the fields here select the
+/// ML indices and profiles, transport); the fields here select the
 /// execution strategy around it. With `num_workers == 0` the initial
 /// fixpoint runs the sequential chase in-process; with `num_workers > 0` it
 /// runs the BSP DMatch (HyPart partitioning, supersteps, master routing) and
@@ -24,7 +24,6 @@ struct ResolverOptions : EngineOptions {
   /// DMatch passthroughs (ignored when num_workers == 0); see DMatchOptions.
   bool use_virtual_blocks = true;
   bool run_parallel = true;
-  bool spanning_pairs = true;
   /// Record rule/fact provenance in the match context (sequential opens).
   bool enable_provenance = false;
 };
@@ -143,12 +142,12 @@ class Resolver {
   /// and publishes the first snapshot.
   void RunOpenFixpoint();
 
-  /// Builds the incremental engine lazily: a DMatch open leaves Γ complete
-  /// but has no single-engine dependency store H, so the first Append
-  /// re-seeds one with a full Deduce over the already-complete context
-  /// (derives nothing new — Prop. 4/8 — but records every dependency).
-  void EnsureEngine();
-  MatchReport RunToFixpoint(Delta delta);
+  /// Builds the single-engine chase over the full view and runs it to the
+  /// fixpoint with a full pass. A sequential open does this up front; a
+  /// DMatch open leaves Γ complete but no single-engine dependency store H,
+  /// so the first Append re-seeds one this way (derives nothing new —
+  /// Prop. 4/8 — but records every dependency).
+  MatchReport BuildEngine();
   void Publish();
 
   ResolverOptions options_;
@@ -161,13 +160,12 @@ class Resolver {
   std::unique_ptr<DatasetView> view_;
   std::unique_ptr<MatchContext> ctx_;
   std::unique_ptr<ChaseEngine> engine_;
-  ChaseStats stats_before_;
 
   std::unique_ptr<MatchReport> open_match_report_;
   std::unique_ptr<DMatchReport> open_dmatch_report_;
 
   uint64_t version_ = 0;            // last published snapshot version
-  std::mutex append_mu_;            // serializes Append + EnsureEngine
+  std::mutex append_mu_;            // serializes Append + BuildEngine
   mutable std::mutex snapshot_mu_;  // guards the snapshot pointer swap
   std::shared_ptr<const GammaSnapshot> snapshot_;
 };

@@ -457,6 +457,26 @@ TEST(ChainTest2, MatchesNaiveOnChains) {
   EXPECT_EQ(fast.MatchedPairs(), naive.MatchedPairs());
 }
 
+// With the step rule enumerated first, every level's valuation is blocked
+// on its parent's match and lands in H; the base rule's level-0 match then
+// fires the whole chain as one cascade, 10^5 dependencies deep. Firing
+// must not recurse per dependency (the ASan lane runs this on its stack).
+TEST(ChainTest2, DeepDependencyCascadeFiresWithoutRecursion) {
+  constexpr int kDepth = 100000;
+  auto fx = MakeChain(kDepth);
+  RuleSet step_first;
+  step_first.Add(fx->rules.rule(1));
+  step_first.Add(fx->rules.rule(0));
+  DatasetView view = DatasetView::Full(fx->dataset);
+  MatchContext ctx(fx->dataset);
+  MatchReport report =
+      engine::Match(view, step_first, fx->registry, {}, &ctx);
+  EXPECT_GE(report.chase.deps_fired, static_cast<uint64_t>(kDepth - 1));
+  EXPECT_EQ(ctx.num_matched_pairs(), static_cast<uint64_t>(kDepth));
+  EXPECT_TRUE(ctx.Matched(fx->a[kDepth - 1], fx->b[kDepth - 1]));
+  EXPECT_FALSE(ctx.Matched(fx->a[kDepth - 1], fx->a[kDepth - 2]));
+}
+
 // ---------------------------------------------------------------------------
 // Validated-ML-prediction semantics: a rule consequence can validate an ML
 // predicate that the classifier itself rejects, enabling another rule.

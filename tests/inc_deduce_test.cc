@@ -1,7 +1,8 @@
 // Delta-driven IncDeduce (the batched semi-naive pass): Γ must be
 // bit-identical to the full chase fixpoint and invariant under every
-// execution knob — inc_parallel on/off, threads 1/4, dependency capacity
-// 0/partial/default, and (at the DMatch level) both transports.
+// execution knob — threads 1/4 (inline rounds vs rounds recorded on the
+// pool), dependency capacity 0/partial/default, and (at the DMatch level)
+// threads 1/2 and both transports.
 
 #include <gtest/gtest.h>
 
@@ -23,13 +24,10 @@ namespace {
 struct ProtocolResult {
   std::vector<std::pair<Gid, Gid>> pairs;
   std::vector<uint64_t> ml_keys;
-  // Deltas of the engine's running counters across the IncDeduce call; the
-  // determinism contract says these match under any threads setting.
-  uint64_t seeded_joins = 0;
-  uint64_t inc_rounds = 0;
-  uint64_t inc_frontier_items = 0;
-  uint64_t inc_dedup_hits = 0;
-  uint64_t matches = 0;
+  // The engine's counters over the IncDeduce call; the determinism
+  // contract says the ones ExpectSameStats compares match under any
+  // threads setting.
+  ChaseStats step;
 };
 
 // The cap protocol at the engine level: full Deduce over the up rule alone
@@ -40,13 +38,12 @@ struct ProtocolResult {
 // no-drop fast path answers from the dependency store.
 ProtocolResult RunProtocol(TournamentWorkload& w,
                            const std::vector<Fact>& leaf_facts,
-                           size_t capacity, bool inc_parallel, int threads) {
+                           size_t capacity, int threads) {
   DatasetView view = DatasetView::Full(w.dataset);
   MatchContext ctx(w.dataset);
   EngineOptions eo;
   eo.dependency_capacity = capacity;
   eo.threads = threads;
-  eo.inc_parallel = inc_parallel;
   ChaseEngine::Options o =
       ChaseEngine::FromEngineOptions(eo, &ThreadPool::Global());
   ChaseEngine engine(&view, &w.up_rules, &w.registry, &ctx, o);
@@ -57,16 +54,7 @@ ProtocolResult RunProtocol(TournamentWorkload& w,
   const ChaseStats before = engine.stats();
   Delta out;
   engine.IncDeduce(seeds, &out);
-  const ChaseStats& after = engine.stats();
-  ProtocolResult r;
-  r.pairs = ctx.MatchedPairs();
-  r.ml_keys = ctx.ValidatedMlKeys();
-  r.seeded_joins = after.seeded_joins - before.seeded_joins;
-  r.inc_rounds = after.inc_rounds - before.inc_rounds;
-  r.inc_frontier_items = after.inc_frontier_items - before.inc_frontier_items;
-  r.inc_dedup_hits = after.inc_dedup_hits - before.inc_dedup_hits;
-  r.matches = after.matches - before.matches;
-  return r;
+  return {ctx.MatchedPairs(), ctx.ValidatedMlKeys(), engine.stats() - before};
 }
 
 void ExpectSameResult(const ProtocolResult& a, const ProtocolResult& b,
@@ -77,11 +65,11 @@ void ExpectSameResult(const ProtocolResult& a, const ProtocolResult& b,
 
 void ExpectSameStats(const ProtocolResult& a, const ProtocolResult& b,
                      const char* what) {
-  EXPECT_EQ(a.seeded_joins, b.seeded_joins) << what;
-  EXPECT_EQ(a.inc_rounds, b.inc_rounds) << what;
-  EXPECT_EQ(a.inc_frontier_items, b.inc_frontier_items) << what;
-  EXPECT_EQ(a.inc_dedup_hits, b.inc_dedup_hits) << what;
-  EXPECT_EQ(a.matches, b.matches) << what;
+  EXPECT_EQ(a.step.seeded_joins, b.step.seeded_joins) << what;
+  EXPECT_EQ(a.step.inc_rounds, b.step.inc_rounds) << what;
+  EXPECT_EQ(a.step.inc_frontier_items, b.step.inc_frontier_items) << what;
+  EXPECT_EQ(a.step.inc_dedup_hits, b.step.inc_dedup_hits) << what;
+  EXPECT_EQ(a.step.matches, b.step.matches) << what;
 }
 
 class IncDeduceTournamentTest : public ::testing::TestWithParam<bool> {};
@@ -110,23 +98,19 @@ TEST_P(IncDeduceTournamentTest, RecoveryMatchesFullChaseFixpoint) {
   for (size_t cap : {size_t{0}, size_t{8}, size_t{1} << 20}) {
     ProtocolResult ref;
     bool have_ref = false;
-    for (bool inc_parallel : {false, true}) {
-      for (int threads : {1, 4}) {
-        ProtocolResult r =
-            RunProtocol(*w, leaves, cap, inc_parallel, threads);
-        std::string what = "cap=" + std::to_string(cap) +
-                           " inc_parallel=" + std::to_string(inc_parallel) +
-                           " threads=" + std::to_string(threads);
-        EXPECT_EQ(r.pairs, expected_pairs) << what;
-        EXPECT_EQ(r.ml_keys, expected_ml) << what;
-        // Every counter is deterministic across the ablation and any
-        // thread count for a fixed capacity.
-        if (!have_ref) {
-          ref = r;
-          have_ref = true;
-        } else {
-          ExpectSameStats(ref, r, what.c_str());
-        }
+    for (int threads : {1, 4}) {
+      ProtocolResult r = RunProtocol(*w, leaves, cap, threads);
+      std::string what =
+          "cap=" + std::to_string(cap) + " threads=" + std::to_string(threads);
+      EXPECT_EQ(r.pairs, expected_pairs) << what;
+      EXPECT_EQ(r.ml_keys, expected_ml) << what;
+      // Every counter is deterministic across thread counts for a fixed
+      // capacity.
+      if (!have_ref) {
+        ref = r;
+        have_ref = true;
+      } else {
+        ExpectSameStats(ref, r, what.c_str());
       }
     }
   }
@@ -149,20 +133,14 @@ TEST(IncDeduceTest, RandomLeafSubsetsAgreeAcrossConfigs) {
       if (rng.Uniform(10) < 6) leaves.push_back(Fact::IdMatch(a, b));
     }
     ProtocolResult ref =
-        RunProtocol(*w, leaves, size_t{1} << 20, /*inc_parallel=*/false,
-                    /*threads=*/1);
+        RunProtocol(*w, leaves, size_t{1} << 20, /*threads=*/1);
     for (size_t cap : {size_t{0}, size_t{4}}) {
-      for (bool inc_parallel : {false, true}) {
-        for (int threads : {1, 4}) {
-          ProtocolResult r =
-              RunProtocol(*w, leaves, cap, inc_parallel, threads);
-          std::string what =
-              "trial=" + std::to_string(trial) + " cap=" +
-              std::to_string(cap) + " inc_parallel=" +
-              std::to_string(inc_parallel) + " threads=" +
-              std::to_string(threads);
-          ExpectSameResult(ref, r, what.c_str());
-        }
+      for (int threads : {1, 4}) {
+        ProtocolResult r = RunProtocol(*w, leaves, cap, threads);
+        std::string what = "trial=" + std::to_string(trial) +
+                           " cap=" + std::to_string(cap) +
+                           " threads=" + std::to_string(threads);
+        ExpectSameResult(ref, r, what.c_str());
       }
     }
   }
@@ -175,18 +153,19 @@ TEST(IncDeduceTest, NoDropFastPathSkipsSeededJoins) {
   auto w = MakeTournament(5, /*with_ml=*/false);
   ASSERT_NE(w, nullptr);
   ProtocolResult r = RunProtocol(*w, TournamentLeafFacts(*w), size_t{1} << 20,
-                                 /*inc_parallel=*/true, /*threads=*/1);
-  EXPECT_EQ(r.seeded_joins, 0u);
-  EXPECT_EQ(r.inc_rounds, 0u);
-  EXPECT_EQ(r.inc_frontier_items, 0u);
+                                 /*threads=*/1);
+  EXPECT_EQ(r.step.seeded_joins, 0u);
+  EXPECT_EQ(r.step.inc_rounds, 0u);
+  EXPECT_EQ(r.step.inc_frontier_items, 0u);
   // Γ is still the complete bracket.
   EXPECT_EQ(r.pairs.size(), (1u << 6) - 1);
 }
 
 TEST(IncDeduceTest, DMatchTransportsAndAblationAgree) {
   // The BSP path with capacity 0: every incremental superstep runs the
-  // seeded recovery. Both transports, the sequential ablation, and the
-  // pooled executor must all reproduce the sequential Match fixpoint.
+  // seeded recovery. Both transports, sequential and pooled workers, and
+  // inline and pooled IncDeduce rounds must all reproduce the sequential
+  // Match fixpoint.
   auto w = MakeTournament(5, /*with_ml=*/false);
   ASSERT_NE(w, nullptr);
   std::vector<std::pair<Gid, Gid>> expected;
@@ -197,32 +176,29 @@ TEST(IncDeduceTest, DMatchTransportsAndAblationAgree) {
     expected = ctx.MatchedPairs();
   }
   struct Config {
-    bool inc_parallel;
     TransportKind transport;
     bool run_parallel;
     int threads;
   };
   const Config configs[] = {
-      {true, TransportKind::kInProcess, false, 1},
-      {false, TransportKind::kInProcess, false, 1},
-      {true, TransportKind::kLoopbackTcp, false, 1},
-      {false, TransportKind::kLoopbackTcp, false, 1},
-      {true, TransportKind::kInProcess, true, 2},
+      {TransportKind::kInProcess, false, 1},
+      {TransportKind::kInProcess, false, 2},
+      {TransportKind::kLoopbackTcp, false, 1},
+      {TransportKind::kLoopbackTcp, false, 2},
+      {TransportKind::kInProcess, true, 2},
   };
   for (const Config& c : configs) {
     DMatchOptions o;
     o.num_workers = 4;
     o.dependency_capacity = 0;
-    o.inc_parallel = c.inc_parallel;
     o.transport = c.transport;
     o.run_parallel = c.run_parallel;
     o.threads = c.threads;
     MatchContext ctx(w->dataset);
     DMatchReport r = engine::DMatch(w->dataset, w->rules, w->registry, o, &ctx);
     EXPECT_EQ(ctx.MatchedPairs(), expected)
-        << "inc_parallel=" << c.inc_parallel
-        << " transport=" << static_cast<int>(c.transport)
-        << " run_parallel=" << c.run_parallel;
+        << "transport=" << static_cast<int>(c.transport)
+        << " run_parallel=" << c.run_parallel << " threads=" << c.threads;
     EXPECT_GT(r.chase.seeded_joins, 0u);
   }
 }
@@ -244,18 +220,16 @@ TEST(IncDeduceTest, EcommerceDMatchCap0AgreesWithMatch) {
     expected_ml = ctx.ValidatedMlKeys();
     ASSERT_FALSE(expected.empty());
   }
-  for (bool inc_parallel : {false, true}) {
+  for (int threads : {1, 2}) {
     gd->registry.ClearCache();
     DMatchOptions o;
     o.num_workers = 4;
     o.dependency_capacity = 0;
-    o.inc_parallel = inc_parallel;
+    o.threads = threads;
     MatchContext ctx(gd->dataset);
     engine::DMatch(gd->dataset, gd->rules, gd->registry, o, &ctx);
-    EXPECT_EQ(ctx.MatchedPairs(), expected)
-        << "inc_parallel=" << inc_parallel;
-    EXPECT_EQ(ctx.ValidatedMlKeys(), expected_ml)
-        << "inc_parallel=" << inc_parallel;
+    EXPECT_EQ(ctx.MatchedPairs(), expected) << "threads=" << threads;
+    EXPECT_EQ(ctx.ValidatedMlKeys(), expected_ml) << "threads=" << threads;
   }
 }
 

@@ -23,6 +23,7 @@
 #include "chase/match.h"
 #include "chase/view.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "datagen/ecommerce.h"
 #include "datagen/tpch_lite.h"
 #include "obs/exposition.h"
@@ -333,6 +334,25 @@ TEST(ResolverTest, ConcurrentSnapshotReadersWhileAppending) {
   EXPECT_EQ(resolver->Snapshot()->ValidatedMlKeys(), ml);
 }
 
+// A sequential open reports the whole chase: its seconds cover the full
+// pass as well as IncDeduce, and its ML counts are the registry's deltas.
+TEST(ResolverTest, OpenReportCoversTheWholeChase) {
+  auto setup = MakeStreamSetup(300, 0);
+  const MlRegistry& registry = setup.gd->registry;
+  const uint64_t preds = registry.num_predictions();
+  const uint64_t hits = registry.num_cache_hits();
+  Timer timer;
+  auto resolver =
+      Resolver::Open(std::move(setup.prefix), setup.rules, &registry);
+  const double wall = timer.ElapsedSeconds();
+  const MatchReport* report = resolver->match_report();
+  ASSERT_NE(report, nullptr);
+  EXPECT_GE(report->seconds, 0.25 * wall);
+  EXPECT_EQ(report->ml_predictions, registry.num_predictions() - preds);
+  EXPECT_EQ(report->ml_cache_hits, registry.num_cache_hits() - hits);
+  EXPECT_GT(report->ml_predictions + report->ml_cache_hits, 0u);
+}
+
 // Each Append reports only its own work. The ground truth drives the same
 // open and appends on a ChaseEngine directly and reads its running counters
 // around each step. A small dependency capacity makes H drop, so
@@ -360,6 +380,8 @@ TEST(ResolverTest, AppendReportsCountOnlyTheirOwnWork) {
   ASSERT_GT(engine.stats().deps_dropped, 0u);
   EXPECT_TRUE(resolver->match_report()->chase == engine.stats());
 
+  const MlRegistry& registry = setup.gd->registry;
+  uint64_t ml_calls = 0;
   for (size_t b = 0; b < 2; ++b) {
     const ChaseStats before = engine.stats();
     TupleBatch batch;
@@ -369,7 +391,13 @@ TEST(ResolverTest, AppendReportsCountOnlyTheirOwnWork) {
       gids.push_back(replica.prefix.AppendTuple(replica.tail[i].first,
                                                 replica.tail[i].second));
     }
+    const uint64_t preds = registry.num_predictions();
+    const uint64_t hits = registry.num_cache_hits();
     const AppendOutcome outcome = resolver->Append(std::move(batch));
+    EXPECT_EQ(outcome.report.ml_predictions,
+              registry.num_predictions() - preds);
+    EXPECT_EQ(outcome.report.ml_cache_hits, registry.num_cache_hits() - hits);
+    ml_calls += outcome.report.ml_predictions + outcome.report.ml_cache_hits;
     ctx.GrowToDataset();
     for (Gid gid : gids) view.Append(gid);
     profiles.NotifyAppend(gids);
@@ -382,6 +410,7 @@ TEST(ResolverTest, AppendReportsCountOnlyTheirOwnWork) {
         << outcome.report.chase.deps_dropped << " vs "
         << (engine.stats() - before).deps_dropped;
   }
+  EXPECT_GT(ml_calls, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1226,26 +1226,17 @@ void WriteBenchCoreJson() {
       seq_ctx->MatchedPairs() == pooled_ctx->MatchedPairs() &&
       seq_ctx->ValidatedMlKeys() == pooled_ctx->ValidatedMlKeys();
 
-  // Transport, at the DMatch level: the in-process and loopback-TCP runs
-  // must yield the same Γ.
-  auto run_mode = [&](TransportKind kind, DMatchReport* report) {
+  // DMatch-level routed volume with sequentially simulated workers.
+  DMatchReport span_report;
+  {
     gd->registry.ClearCache();
     gd->registry.ResetStats();
-    auto ctx = std::make_unique<MatchContext>(gd->dataset);
+    MatchContext ctx(gd->dataset);
     DMatchOptions o;
     o.num_workers = 4;
     o.run_parallel = false;
-    o.transport = kind;
-    *report = engine::DMatch(gd->dataset, gd->rules, gd->registry, o, ctx.get());
-    return ctx;
-  };
-  DMatchReport span_report;
-  DMatchReport tcp_report;
-  auto span_ctx = run_mode(TransportKind::kInProcess, &span_report);
-  auto tcp_ctx = run_mode(TransportKind::kLoopbackTcp, &tcp_report);
-  const bool tcp_pairs_equal =
-      span_ctx->MatchedPairs() == tcp_ctx->MatchedPairs() &&
-      span_ctx->ValidatedMlKeys() == tcp_ctx->ValidatedMlKeys();
+    span_report = engine::DMatch(gd->dataset, gd->rules, gd->registry, o, &ctx);
+  }
 
   RoutingNumbers routing = MeasureRouting();
   SpanningNumbers spanning = MeasureSpanning();
@@ -1343,7 +1334,6 @@ void WriteBenchCoreJson() {
   w.KV("dmatch_outbox_messages", pooled_report.outbox_messages);
   w.KV("dmatch_outbox_bytes", pooled_report.outbox_bytes);
   w.KV("dmatch_route_seconds", pooled_report.route_seconds);
-  w.KV("transport", pooled_report.transport);
   // Router alone on the exchange-heavy synthetic workload: serial vs pooled
   // wall clock, plus the shard-time speedup (sum/max over destination
   // shards) that models one core per shard — the honest number on hosts
@@ -1372,13 +1362,10 @@ void WriteBenchCoreJson() {
   w.KV("route_bytes", routing.bytes);
   w.KV("route_inboxes_equal", routing.inboxes_equal);
   // Propagation policy: master-level message/byte volume on the
-  // class-merge-heavy tournament workload, the DMatch-level volume, and Γ
-  // identity of the TCP transport.
+  // class-merge-heavy tournament workload and the DMatch-level volume.
   w.KV("route_messages_spanning", spanning.spanning_messages);
   w.KV("route_bytes_spanning", spanning.spanning_bytes);
   w.KV("dmatch_messages_spanning", span_report.messages);
-  w.KV("tcp_transport", tcp_report.transport);
-  w.KV("tcp_pairs_equal", tcp_pairs_equal);
   // Delta-driven incremental pass (the batched semi-naive IncDeduce).
   // Tournament cascade, cap=0 protocol: per-leaf time at |Δ| = 1024 vs 512
   // leaves is the |Δ|-scaling evidence bench/check_regression gates on.
@@ -1599,8 +1586,6 @@ void WriteBenchCoreJson() {
   std::printf("propagation: spanning=%llu msgs (%llu B)\n",
               static_cast<unsigned long long>(spanning.spanning_messages),
               static_cast<unsigned long long>(spanning.spanning_bytes));
-  std::printf("transport: dmatch over %s, pairs_equal=%d\n",
-              tcp_report.transport, tcp_pairs_equal);
   std::printf("inc cascade: full(%zu leaves)=%.4fs half(%zu)=%.4fs "
               "per-leaf ratio=%.2f seeded=%llu rounds=%llu "
               "simulated_speedup=%.2fx pairs_equal(par,seq)=%d\n",

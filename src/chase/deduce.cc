@@ -16,7 +16,6 @@ ChaseEngine::Options ChaseEngine::FromEngineOptions(const EngineOptions& eo,
   o.dependency_capacity = eo.dependency_capacity;
   o.share_indices = eo.use_mqo;
   o.ml_index = eo.ml_index;
-  o.ml_index_approx = eo.ml_index_approx;
   if (eo.threads > 1 && pool != nullptr) {
     o.pool = pool;
     o.enumeration_shards = eo.threads * 2;
@@ -62,7 +61,6 @@ ChaseEngine::ChaseEngine(
       options_(options),
       deps_(options.dependency_capacity) {
   ml_policy_.enabled = options_.ml_index;
-  ml_policy_.allow_approx = options_.ml_index_approx;
   if (ml_policy_.enabled) {
     ml_policy_.derivable = std::make_shared<const std::unordered_set<uint64_t>>(
         DerivableMlKeys(*rules_));

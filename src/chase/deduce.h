@@ -49,9 +49,6 @@ class ChaseEngine {
     /// facts no rule derives are pruned (see DerivableMlKeys), so results
     /// are bit-identical to the unindexed chase.
     bool ml_index = true;
-    /// Additionally allow approximate (LSH) indices for classifiers without
-    /// a sound filter (embedding cosine). May lose recall; off by default.
-    bool ml_index_approx = false;
     /// The dataset's profile store (DatasetProfiles::store()), built and
     /// kept covering the ML columns by the engine's owner; the engine only
     /// reads it. nullptr keeps every ML path on the per-pair text kernels.
@@ -81,8 +78,9 @@ class ChaseEngine {
 
   /// Scoped (DMatch-worker) form: rule r is evaluated separately inside
   /// each of its assigned virtual blocks (*rule_views)[r] (see
-  /// Partition::rule_views) — never across blocks, so the cluster performs
-  /// each rule's join work exactly once in total. `union_view` hosts
+  /// Partition::rule_views) — never across blocks. Every valuation lies in
+  /// at least one block, possibly several (Partition explains why), so the
+  /// cluster may repeat some of a rule's join work. `union_view` hosts
   /// everything the worker holds and is used for gid resolution. With
   /// share_indices, blocks with identical contents (MQO-shared hash
   /// functions across rules) share one set of inverted indices.

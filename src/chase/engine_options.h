@@ -2,17 +2,8 @@
 #define DCER_CHASE_ENGINE_OPTIONS_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace dcer {
-
-/// How encoded fact batches travel between DMatch's workers and master.
-/// Both modes run the same exchange path (wire-codec encode → channel →
-/// decode), so serialized byte accounting is identical; kLoopbackTcp
-/// additionally pushes every batch through connected 127.0.0.1 sockets
-/// (length-prefixed frames through the kernel TCP stack) and falls back to
-/// kInProcess if sockets are unavailable.
-enum class TransportKind : uint8_t { kInProcess, kLoopbackTcp };
 
 /// Engine knobs shared by every entry point that runs a chase — the
 /// sequential engine::Match, the BSP DMatch workers, and the Resolver's
@@ -34,17 +25,11 @@ struct EngineOptions {
   /// chase, as in the paper's BSP model. Any value yields bit-identical
   /// results; see DESIGN.md "Parallel execution model".
   int threads = 1;
-  /// Message plane for the BSP exchange (DMatch only; the sequential Match
-  /// sends nothing). See TransportKind.
-  TransportKind transport = TransportKind::kInProcess;
   /// Similarity-index candidate generation for ML predicates (see DESIGN.md
   /// "ML candidate indices"): token/q-gram indices turn Jaccard and
   /// edit-similarity predicates into index probes instead of cross-product
   /// post-filters. Sound — matched pairs are bit-identical either way.
   bool ml_index = true;
-  /// Also allow approximate LSH indices (embedding cosine). May lose
-  /// recall; off by default.
-  bool ml_index_approx = false;
   /// Vectorized similarity engine (see DESIGN.md): precompute token/q-gram
   /// profiles of the ML columns' strings once per dataset (one store shared
   /// by every engine over it) and evaluate string ML

@@ -79,7 +79,7 @@ class DatasetIndex {
   /// probing the same (classifier, relation, attributes) side — the ML
   /// analogue of the MQO-shared equality indices above. Rebuilt if the
   /// classifier's threshold changed since construction. Returns nullptr when
-  /// the classifier cannot index (CandidateIndexKind::kNone).
+  /// the classifier cannot index (MlClassifier::candidate_indexable()).
   const MlCandidateIndex* GetOrBuildMl(const MlClassifier& classifier,
                                        int ml_id, size_t rel,
                                        const std::vector<int>& attrs);

@@ -70,12 +70,7 @@ void RuleJoiner::ConfigureMlIndex(MlIndexPolicy policy) {
       const Predicate& p = pre[i];
       if (p.kind != PredicateKind::kMl) continue;
       if (p.lhs.var == p.rhs.var) continue;  // both sides bind together
-      CandidateIndexKind kind =
-          registry_->classifier(p.ml_id).candidate_index_kind();
-      if (kind == CandidateIndexKind::kNone) continue;
-      if (kind == CandidateIndexKind::kApprox && !ml_policy_.allow_approx) {
-        continue;
-      }
+      if (!registry_->classifier(p.ml_id).candidate_indexable()) continue;
       if (ml_policy_.derivable != nullptr) {
         uint64_t lhs_sig =
             MlSideSignature(rule_->var_relation(p.lhs.var), p.lhs_ml_attrs);

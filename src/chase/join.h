@@ -32,8 +32,6 @@ std::unordered_set<uint64_t> DerivableMlKeys(const RuleSet& rules);
 struct MlIndexPolicy {
   /// Master switch (MatchOptions::ml_index).
   bool enabled = false;
-  /// Allow unsound (LSH) indices too; may lose recall. Off by default.
-  bool allow_approx = false;
   /// DerivableMlKeys of the rule set; shared across every joiner of a chase
   /// (including the transient per-shard joiners of parallel enumeration).
   std::shared_ptr<const std::unordered_set<uint64_t>> derivable;

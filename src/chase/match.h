@@ -12,8 +12,8 @@ namespace dcer {
 
 /// Configuration of the sequential Match algorithm. The engine knobs shared
 /// with DMatch (dependency_capacity, use_mqo, threads, ml_index,
-/// ml_index_approx) live in the EngineOptions base; only what is specific
-/// to the sequential entry point is declared here.
+/// ml_profiles) live in the EngineOptions base; only what is specific to
+/// the sequential entry point is declared here.
 struct MatchOptions : EngineOptions {
   /// Record rule/valuation provenance for Explain().
   bool enable_provenance = false;

@@ -5,8 +5,6 @@
 #include <cmath>
 
 #include "common/hash.h"
-#include "common/rng.h"
-#include "ml/embedding.h"
 #include "ml/similarity.h"
 
 namespace dcer {
@@ -492,68 +490,6 @@ void QGramEditIndex::Probe(const std::vector<Value>& query,
     out->push_back(it->second);
   }
   std::sort(out->begin(), out->end());
-}
-
-// --- CosineLshIndex ---------------------------------------------------------
-
-CosineLshIndex::CosineLshIndex(double threshold, size_t dim,
-                               const std::vector<uint32_t>& rows,
-                               const RowValuesFn& fill, size_t bands,
-                               size_t bits_per_band)
-    : dim_(dim), bands_(bands), bits_per_band_(bits_per_band) {
-  (void)threshold;  // banding parameters, not the threshold, set the recall
-  // Fixed seeded hyperplanes: builds (and therefore probes) are fully
-  // deterministic across runs, workers and thread counts.
-  Rng rng(0x5eedc0de);
-  planes_.resize(bands_ * bits_per_band_ * dim_);
-  for (float& p : planes_) {
-    p = static_cast<float>(rng.NextDouble() * 2.0 - 1.0);
-  }
-  buckets_.resize(bands_);
-  std::vector<Value> values;
-  for (uint32_t row : rows) {
-    fill(row, &values);
-    Add(row, values);
-  }
-  num_rows_ = rows.size();
-}
-
-uint64_t CosineLshIndex::Signature(const std::vector<Value>& values) const {
-  std::string scratch;
-  const Embedding e = EmbedText(ConcatValueView(values, &scratch), dim_);
-  uint64_t sig = 0;
-  const size_t nbits = bands_ * bits_per_band_;
-  for (size_t b = 0; b < nbits; ++b) {
-    const float* plane = planes_.data() + b * dim_;
-    double dot = 0;
-    for (size_t i = 0; i < dim_; ++i) dot += static_cast<double>(plane[i]) * e[i];
-    if (dot >= 0) sig |= uint64_t{1} << b;
-  }
-  return sig;
-}
-
-void CosineLshIndex::Add(uint32_t row, const std::vector<Value>& values) {
-  const uint64_t sig = Signature(values);
-  const uint64_t band_mask = (uint64_t{1} << bits_per_band_) - 1;
-  for (size_t band = 0; band < bands_; ++band) {
-    const uint64_t key = (sig >> (band * bits_per_band_)) & band_mask;
-    buckets_[band][key].push_back(row);
-  }
-  ++num_rows_;
-}
-
-void CosineLshIndex::Probe(const std::vector<Value>& query,
-                           std::vector<uint32_t>* out) const {
-  out->clear();
-  const uint64_t sig = Signature(query);
-  const uint64_t band_mask = (uint64_t{1} << bits_per_band_) - 1;
-  for (size_t band = 0; band < bands_; ++band) {
-    const uint64_t key = (sig >> (band * bits_per_band_)) & band_mask;
-    auto it = buckets_[band].find(key);
-    if (it == buckets_[band].end()) continue;
-    out->insert(out->end(), it->second.begin(), it->second.end());
-  }
-  SortUniqueRows(out);
 }
 
 }  // namespace dcer

@@ -14,15 +14,6 @@
 
 namespace dcer {
 
-/// How (whether) a classifier can turn itself from a pairwise post-filter
-/// into a candidate generator:
-///   kNone   — cannot prune; the join falls back to a full scan.
-///   kExact  — Probe() returns a *sound superset* of the rows whose score
-///             reaches the threshold. Safe by default.
-///   kApprox — Probe() may miss true matches (LSH); only used when the
-///             caller explicitly opts in (MatchOptions::ml_index_approx).
-enum class CandidateIndexKind { kNone, kExact, kApprox };
-
 /// Fills *out (cleared first) with the ML attribute values of `row`.
 /// Decouples index construction from the chase's view/relation types.
 using RowValuesFn = std::function<void(uint32_t row, std::vector<Value>*)>;
@@ -56,9 +47,6 @@ struct ProfileSource {
 class MlCandidateIndex {
  public:
   virtual ~MlCandidateIndex() = default;
-
-  /// True when Probe is a sound superset generator at the build threshold.
-  virtual bool sound() const { return true; }
 
   /// Appends the candidate rows for `query` (the other side's attribute
   /// values) into *out. *out is cleared first; rows come back sorted.
@@ -176,34 +164,6 @@ class QGramEditIndex : public MlCandidateIndex {
   // stamp counter without rescanning rows_by_len_ (probes are O(n) in the
   // dataset otherwise — quadratic across a self-join's probe loop).
   uint32_t max_row_ = 0;
-};
-
-/// Banded SimHash index for EmbeddingCosineClassifier: each row's embedding
-/// is signed against a fixed pseudo-random hyperplane set (seeded, so builds
-/// are deterministic), the sign bits are split into bands, and rows are
-/// bucketed per band. A probe returns every row sharing at least one full
-/// band with the query. NOT sound (sound() == false): two vectors above the
-/// cosine threshold can disagree on every band, so this index only runs when
-/// the caller opted into approximate candidate generation.
-class CosineLshIndex : public MlCandidateIndex {
- public:
-  CosineLshIndex(double threshold, size_t dim,
-                 const std::vector<uint32_t>& rows, const RowValuesFn& fill,
-                 size_t bands = 16, size_t bits_per_band = 4);
-
-  bool sound() const override { return false; }
-  void Probe(const std::vector<Value>& query,
-             std::vector<uint32_t>* out) const override;
-  void Add(uint32_t row, const std::vector<Value>& values) override;
-
- private:
-  uint64_t Signature(const std::vector<Value>& values) const;
-
-  size_t dim_;
-  size_t bands_;
-  size_t bits_per_band_;
-  std::vector<float> planes_;  // bands*bits_per_band rows of dim floats
-  std::vector<std::unordered_map<uint64_t, std::vector<uint32_t>>> buckets_;
 };
 
 }  // namespace dcer

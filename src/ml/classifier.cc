@@ -54,19 +54,6 @@ double EmbeddingCosineClassifier::Score(const std::vector<Value>& a,
   return c < 0 ? 0 : c;
 }
 
-CandidateIndexKind EmbeddingCosineClassifier::candidate_index_kind() const {
-  return IndexableThreshold(threshold()) ? CandidateIndexKind::kApprox
-                                         : CandidateIndexKind::kNone;
-}
-
-std::unique_ptr<MlCandidateIndex> EmbeddingCosineClassifier::BuildCandidateIndex(
-    const std::vector<uint32_t>& rows, const RowValuesFn& fill,
-    const ProfileSource* profiles) const {
-  (void)profiles;  // LSH re-embeds; profiles carry no embedding state
-  if (candidate_index_kind() == CandidateIndexKind::kNone) return nullptr;
-  return std::make_unique<CosineLshIndex>(threshold(), dim_, rows, fill);
-}
-
 TokenJaccardClassifier::TokenJaccardClassifier(std::string name,
                                                double threshold)
     : MlClassifier(std::move(name), threshold) {}
@@ -77,15 +64,14 @@ double TokenJaccardClassifier::Score(const std::vector<Value>& a,
   return TokenJaccard(ConcatValueView(a, &sa), ConcatValueView(b, &sb));
 }
 
-CandidateIndexKind TokenJaccardClassifier::candidate_index_kind() const {
-  return IndexableThreshold(threshold()) ? CandidateIndexKind::kExact
-                                         : CandidateIndexKind::kNone;
+bool TokenJaccardClassifier::candidate_indexable() const {
+  return IndexableThreshold(threshold());
 }
 
 std::unique_ptr<MlCandidateIndex> TokenJaccardClassifier::BuildCandidateIndex(
     const std::vector<uint32_t>& rows, const RowValuesFn& fill,
     const ProfileSource* profiles) const {
-  if (candidate_index_kind() == CandidateIndexKind::kNone) return nullptr;
+  if (!candidate_indexable()) return nullptr;
   return std::make_unique<TokenJaccardIndex>(threshold(), rows, fill,
                                              profiles);
 }
@@ -118,15 +104,14 @@ bool EditSimilarityClassifier::Predict(const std::vector<Value>& a,
   return EditDistance(ta, tb, static_cast<int>(k)) <= k;
 }
 
-CandidateIndexKind EditSimilarityClassifier::candidate_index_kind() const {
-  return IndexableThreshold(threshold()) ? CandidateIndexKind::kExact
-                                         : CandidateIndexKind::kNone;
+bool EditSimilarityClassifier::candidate_indexable() const {
+  return IndexableThreshold(threshold());
 }
 
 std::unique_ptr<MlCandidateIndex> EditSimilarityClassifier::BuildCandidateIndex(
     const std::vector<uint32_t>& rows, const RowValuesFn& fill,
     const ProfileSource* profiles) const {
-  if (candidate_index_kind() == CandidateIndexKind::kNone) return nullptr;
+  if (!candidate_indexable()) return nullptr;
   return std::make_unique<QGramEditIndex>(threshold(), rows, fill, /*q=*/2,
                                           profiles);
 }

@@ -57,16 +57,15 @@ class MlClassifier {
   /// MlRegistry::ClearCache so benchmark repetitions start cold.
   virtual void ClearMemo() const {}
 
-  /// Whether (and how soundly) this classifier can act as a candidate
-  /// generator instead of a pairwise post-filter. kNone (the default) keeps
+  /// Whether this classifier can act as a candidate generator instead of a
+  /// pairwise post-filter: its index's Probe returns a *sound superset* of
+  /// the rows whose score reaches the threshold. false (the default) keeps
   /// the full-scan join behaviour.
-  virtual CandidateIndexKind candidate_index_kind() const {
-    return CandidateIndexKind::kNone;
-  }
+  virtual bool candidate_indexable() const { return false; }
 
   /// Builds a candidate index over one side of the predicate (`rows`, with
   /// attribute values supplied by `fill`). Returns nullptr when
-  /// candidate_index_kind() is kNone. The index's Probe must honour the
+  /// candidate_indexable() is false. The index's Probe must honour the
   /// classifier's *current* threshold; callers rebuild if the threshold
   /// changes after construction. `profiles` (optional) lets string indices
   /// build from precomputed ProfileStore arenas; the resulting index probes
@@ -101,13 +100,6 @@ class EmbeddingCosineClassifier : public MlClassifier {
                const std::vector<Value>& b) const override;
   void ClearMemo() const override;
 
-  /// LSH banding loses recall, so the cosine index is approximate-only and
-  /// gated behind MatchOptions::ml_index_approx.
-  CandidateIndexKind candidate_index_kind() const override;
-  std::unique_ptr<MlCandidateIndex> BuildCandidateIndex(
-      const std::vector<uint32_t>& rows, const RowValuesFn& fill,
-      const ProfileSource* profiles = nullptr) const override;
-
  private:
   const Embedding& CachedEmbed(std::string text) const;
 
@@ -132,7 +124,7 @@ class TokenJaccardClassifier : public MlClassifier {
   }
 
   /// Sound PPJoin-style prefix+length filtered token index.
-  CandidateIndexKind candidate_index_kind() const override;
+  bool candidate_indexable() const override;
   std::unique_ptr<MlCandidateIndex> BuildCandidateIndex(
       const std::vector<uint32_t>& rows, const RowValuesFn& fill,
       const ProfileSource* profiles = nullptr) const override;
@@ -159,7 +151,7 @@ class EditSimilarityClassifier : public MlClassifier {
   }
 
   /// Sound q-gram count + length filtered index.
-  CandidateIndexKind candidate_index_kind() const override;
+  bool candidate_indexable() const override;
   std::unique_ptr<MlCandidateIndex> BuildCandidateIndex(
       const std::vector<uint32_t>& rows, const RowValuesFn& fill,
       const ProfileSource* profiles = nullptr) const override;

@@ -65,23 +65,6 @@ size_t MyersDistance(const MyersPattern& p, std::string_view b, int bound) {
   return score;
 }
 
-uint64_t SimhashOfGrams(const uint64_t* hashes, const uint32_t* counts,
-                        size_t n) {
-  int64_t votes[64] = {};
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t h = hashes[i];
-    const int64_t c = static_cast<int64_t>(counts[i]);
-    for (int bit = 0; bit < 64; ++bit) {
-      votes[bit] += ((h >> bit) & 1) ? c : -c;
-    }
-  }
-  uint64_t sig = 0;
-  for (int bit = 0; bit < 64; ++bit) {
-    if (votes[bit] > 0) sig |= uint64_t{1} << bit;
-  }
-  return sig;
-}
-
 }  // namespace
 
 ProfileStore::ProfileStore(const StringPool* pool, size_t q)
@@ -141,10 +124,6 @@ void ProfileStore::Add(std::span<const uint32_t> ids) {
     }
     p.gram_count =
         static_cast<uint32_t>(gram_hash_arena_.size()) - p.gram_begin;
-
-    p.simhash = SimhashOfGrams(gram_hash_arena_.data() + p.gram_begin,
-                               gram_count_arena_.data() + p.gram_begin,
-                               p.gram_count);
     profiles_.push_back(p);
   }
 }

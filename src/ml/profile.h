@@ -24,10 +24,7 @@ namespace dcer {
 ///   - the sorted q-gram count sketch (FNV hash + multiplicity, q = 2,
 ///     exactly candidate_index.cc's GramsOf) — the edit kernel's count
 ///     filter becomes a sorted-uint64 merge (simd::SharedMinCountU64);
-///   - the byte length — the length band of the edit predicate;
-///   - a 64-bit SimHash of the gram sketch — a cheap Hamming prefilter for
-///     LSH-style candidate generation (exercised by tests; kept per string
-///     so future banding indices need no re-embedding pass).
+///   - the byte length — the length band of the edit predicate.
 ///
 /// Token ids come from a private interning dictionary (its own StringPool)
 /// shared by every profile in the store; equal tokens anywhere in the
@@ -55,7 +52,6 @@ class ProfileStore {
     uint32_t gram_count;  // distinct gram hashes (RLE groups)
     uint32_t byte_len;    // pool string length in bytes
     uint32_t gram_total;  // Σ multiplicities = byte_len - q + 1 (0 if short)
-    uint64_t simhash;     // 64-bit SimHash over the gram sketch
   };
 
   explicit ProfileStore(const StringPool* pool, size_t q = 2);

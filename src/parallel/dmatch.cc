@@ -1,16 +1,17 @@
 #include "parallel/dmatch.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 
+#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/master.h"
-#include "parallel/transport.h"
 #include "parallel/wire.h"
 #include "parallel/worker.h"
 
@@ -62,7 +63,6 @@ void DMatchReport::ExtraJson(JsonWriter* w) const {
   w->KV("bytes", bytes);
   w->KV("outbox_messages", outbox_messages);
   w->KV("outbox_bytes", outbox_bytes);
-  w->KV("transport", transport);
   w->KV("partition_seconds", partition_seconds);
   w->KV("er_seconds", er_seconds);
   w->KV("simulated_seconds", simulated_seconds);
@@ -126,11 +126,8 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
         std::move(partition.rule_views[w]), &rules, &registry,
         engine_options));
   }
-  std::unique_ptr<Transport> transport =
-      Transport::Create(options.transport, options.num_workers);
   Master::Options master_options;
   master_options.pool = options.run_parallel ? &pool : nullptr;
-  master_options.transport = transport.get();
   Master master(&partition.hosts, options.num_workers, dataset.num_tuples(),
                 master_options);
 
@@ -164,10 +161,10 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
     return slowest;
   };
 
-  // Collects every worker's outbox through the wire: encode, send the
-  // batch over the transport, and let the master receive + decode it.
-  // The collect-side wire volume is charged to the superstep whose stats
-  // entry is current (the step that produced the outboxes).
+  // Collects every worker's outbox through the wire: encode it and let the
+  // master decode the bytes. The collect-side wire volume is charged to the
+  // superstep whose stats entry is current (the step that produced the
+  // outboxes).
   auto exchange_outboxes = [&] {
     const uint64_t msgs_before = master.outbox_messages();
     const uint64_t bytes_before = master.outbox_bytes();
@@ -175,8 +172,15 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
       std::vector<Fact> out = w->TakeOutbox();
       std::vector<uint8_t> bytes;
       if (!out.empty()) wire::EncodeFactBatch(out, &bytes);
-      transport->SendToMaster(w->id(), std::move(bytes));
-      master.CollectFromWorker(w->id());
+      const wire::WireError err =
+          master.CollectFromWorker(w->id(), std::move(bytes));
+      if (err != wire::WireError::kOk) {
+        // Both ends run in this process: a rejected batch is a codec bug,
+        // and continuing would silently drop facts from Γ.
+        DCER_LOG(Error) << "dmatch: outbox of worker " << w->id()
+                        << " failed to decode: " << wire::WireErrorName(err);
+        std::abort();
+      }
     }
     SuperstepStats& ss = report.superstep_stats.back();
     ss.outbox_messages = master.outbox_messages() - msgs_before;
@@ -212,9 +216,6 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
   report.outbox_bytes = master.outbox_bytes();
   report.route_seconds = master.route_seconds();
   report.route_simulated_seconds = master.route_shard_max_seconds();
-  report.transport = transport->kind() == TransportKind::kLoopbackTcp
-                         ? "loopback_tcp"
-                         : "in_process";
   report.matched_pairs = result->num_matched_pairs();
   report.validated_ml = result->num_validated_ml();
   report.ml_predictions = registry.num_predictions() - preds_before;

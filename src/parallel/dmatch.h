@@ -11,7 +11,7 @@ namespace dcer {
 
 /// Configuration of parallel algorithm DMatch (Sec. V-B). The engine knobs
 /// shared with the sequential Match (dependency_capacity, use_mqo, threads,
-/// ml_index, ml_index_approx, transport) live in the EngineOptions base;
+/// ml_index, ml_profiles) live in the EngineOptions base;
 /// `threads` here means intra-worker parallelism — each worker's join
 /// enumeration splits into 2 × threads pool shards (see
 /// ChaseEngine::Options::pool). Results are bit-identical for every value.
@@ -48,10 +48,6 @@ struct DMatchReport : RunReport {
   /// Σ per-dispatch max destination-shard time: routing on one dedicated
   /// core per destination, the router analogue of simulated_seconds.
   double route_simulated_seconds = 0;
-  /// Effective transport the batches traveled through ("in_process" or
-  /// "loopback_tcp"; may differ from the requested kind if TCP setup
-  /// failed and the run fell back).
-  const char* transport = "in_process";
 
  protected:
   void ExtraJson(JsonWriter* w) const override;

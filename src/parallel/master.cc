@@ -1,11 +1,11 @@
 #include "parallel/master.h"
 
 #include <algorithm>
+#include <cstdlib>
 
+#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "parallel/transport.h"
-#include "parallel/wire.h"
 
 namespace dcer {
 
@@ -55,12 +55,16 @@ void Master::Collect(int from, std::vector<Fact> facts) {
   outbox_messages_ += facts.size();
 }
 
-void Master::CollectFromWorker(int from) {
-  std::vector<uint8_t> bytes = options_.transport->ReceiveFromWorker(from);
-  outbox_bytes_ += bytes.size();
+wire::WireError Master::CollectFromWorker(int from,
+                                          std::vector<uint8_t> bytes) {
   std::vector<Fact> facts;
-  if (!bytes.empty()) wire::DecodeFactBatch(bytes, &facts);
+  if (!bytes.empty()) {
+    const wire::WireError err = wire::DecodeFactBatch(bytes, &facts);
+    if (err != wire::WireError::kOk) return err;
+  }
+  outbox_bytes_ += bytes.size();
   Collect(from, std::move(facts));
+  return wire::WireError::kOk;
 }
 
 void Master::DestinationsOf(Gid a, Gid b,
@@ -143,10 +147,9 @@ bool Master::Dispatch(std::vector<std::vector<Fact>>* inboxes) {
     for (int d = 0; d < num_workers_; ++d) merge_one(d);
   }
 
-  // Phase C — delivery (serial, worker order): push each encoded batch
-  // through the transport if one is attached, decode it into the worker's
-  // inbox, and account the serialized size. The decode side is the batch a
-  // real channel delivered, not the merge shard's vector.
+  // Phase C — delivery (serial, worker order): decode each encoded batch
+  // into the worker's inbox and account the serialized size. The inbox is
+  // what the codec delivered, not the merge shard's vector.
   last_dispatch_messages_ = 0;
   last_dispatch_bytes_ = 0;
   bool any = false;
@@ -154,14 +157,15 @@ bool Master::Dispatch(std::vector<std::vector<Fact>>* inboxes) {
     if (encoded[d].empty()) continue;
     last_dispatch_bytes_ += encoded[d].size();
     last_dispatch_messages_ += shard_messages[d];
-    std::vector<uint8_t> bytes;
-    if (options_.transport != nullptr) {
-      options_.transport->SendToWorker(d, std::move(encoded[d]));
-      bytes = options_.transport->ReceiveAtWorker(d);
-    } else {
-      bytes = std::move(encoded[d]);
+    const wire::WireError err =
+        wire::DecodeFactBatch(encoded[d], &(*inboxes)[d]);
+    if (err != wire::WireError::kOk) {
+      // Encoder and decoder run in this process: a rejected batch is a
+      // codec bug, and continuing would silently drop facts from Γ.
+      DCER_LOG(Error) << "master: routed batch for worker " << d
+                      << " failed to decode: " << wire::WireErrorName(err);
+      std::abort();
     }
-    wire::DecodeFactBatch(bytes, &(*inboxes)[d]);
     if (!(*inboxes)[d].empty()) any = true;
   }
   messages_routed_ += last_dispatch_messages_;

@@ -7,11 +7,11 @@
 
 #include "chase/fact.h"
 #include "common/union_find.h"
+#include "parallel/wire.h"
 
 namespace dcer {
 
 class ThreadPool;
-class Transport;
 
 /// The coordinator P_0 of the fixpoint model (Sec. III-B): collects the new
 /// matches each worker deduced in a superstep and routes them to the workers
@@ -32,24 +32,18 @@ class Transport;
 /// sources in worker order, duplicate delivery suppressed by one
 /// `seen` shard per destination (no global set, no cross-shard writes).
 /// Each destination's batch is then serialized by the wire codec
-/// (`parallel/wire.h`), optionally pushed through the Transport, and
-/// decoded into the worker inbox, so every reported byte is a byte a real
-/// channel would carry.
+/// (`parallel/wire.h`) and decoded into the worker inbox, so every
+/// reported byte is a byte a real channel would carry.
 class Master {
  public:
   struct Options {
     /// Runs Dispatch's partition and per-destination merge/encode as pool
     /// tasks. nullptr routes serially; delivered facts are identical.
     ThreadPool* pool = nullptr;
-    /// Byte plane for encoded batches (see Transport). nullptr keeps the
-    /// encode → decode pair in-place; the codec still runs either way, so
-    /// byte accounting does not depend on the transport.
-    Transport* transport = nullptr;
   };
 
   /// `hosts` maps gid -> sorted worker ids hosting that tuple (from HyPart).
-  /// The three-argument form uses default Options (serial routing, no
-  /// transport).
+  /// The three-argument form uses default Options (serial routing).
   Master(const std::vector<std::vector<uint32_t>>* hosts, int num_workers,
          size_t num_tuples);
   Master(const std::vector<std::vector<uint32_t>>* hosts, int num_workers,
@@ -60,10 +54,12 @@ class Master {
   /// class size on merges).
   void Collect(int from, std::vector<Fact> facts);
 
-  /// Receives worker `from`'s encoded outbox batch from the transport,
-  /// decodes it and Collects it, charging the batch to the collect-side
-  /// wire accounting. Requires Options::transport.
-  void CollectFromWorker(int from);
+  /// Decodes worker `from`'s encoded outbox batch (empty = no facts) and
+  /// Collects it, charging the batch to the collect-side wire accounting.
+  /// The batch is decoded before any state changes: a batch the codec
+  /// rejects returns its error and leaves E_id, the route queues and the
+  /// outbox counters untouched.
+  wire::WireError CollectFromWorker(int from, std::vector<uint8_t> bytes);
 
   /// Routes everything queued since the last Dispatch into per-worker
   /// inboxes (resized to num_workers). Returns true if any inbox is

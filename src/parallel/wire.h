@@ -226,8 +226,9 @@ size_t EncodeTupleBlock(const Relation& rel, const std::vector<uint32_t>& rows,
 /// Appends the rows of a block into *dst, whose schema must have the same
 /// column types as the encoded relation. Strings are re-interned into dst's
 /// pool; original gids are preserved. Returns a typed error on malformed
-/// input or a column-type mismatch (dst is then left partially appended —
-/// callers treat that as a fatal transport error).
+/// input or a column-type mismatch; dst is then left partially appended, so
+/// callers decode into a scratch relation and discard it on error (see
+/// service::DecodeAppendBlocks).
 WireError DecodeTupleBlock(const uint8_t* data, size_t size, Relation* dst);
 
 inline WireError DecodeTupleBlock(const std::vector<uint8_t>& bytes,

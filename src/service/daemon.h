@@ -83,11 +83,11 @@ struct DaemonStats {
 /// per request. The optional `metrics_port` HTTP listener exposes the whole
 /// registry in Prometheus text format.
 ///
-/// Transport: loopback TCP, u32-LE length-prefixed frames (the same framing
-/// as the BSP loopback transport), each frame one protocol message
-/// (service/protocol.h). A killed client or half-written frame just closes
-/// that connection; a frame with a foreign protocol version gets a typed
-/// ERROR reply and the stream keeps going (framing stays in sync).
+/// Transport: loopback TCP, u32-LE length-prefixed frames, each frame one
+/// protocol message (service/protocol.h). A killed client or half-written
+/// frame just closes that connection; a frame with a foreign protocol
+/// version gets a typed ERROR reply and the stream keeps going (framing
+/// stays in sync).
 class ResolverDaemon {
  public:
   explicit ResolverDaemon(std::unique_ptr<Resolver> resolver,

@@ -15,11 +15,10 @@ namespace dcer {
 namespace service {
 
 /// The dcerd request/response protocol: one frame per message, carried over
-/// the same u32-LE length-prefixed stream framing the loopback transport
-/// uses, with every frame starting in the shared wire header
-/// ([magic][version][tag], see parallel/wire.h). APPEND payloads embed the
-/// columnar tuple-block codec — the ingest plane reuses the data plane's
-/// format byte for byte.
+/// a u32-LE length-prefixed stream framing, with every frame starting in
+/// the shared wire header ([magic][version][tag], see parallel/wire.h).
+/// APPEND payloads embed the columnar tuple-block codec — the ingest plane
+/// reuses the data plane's format byte for byte.
 ///
 /// Frame bodies (after the 3-byte header; all varints as in wire.h).
 ///

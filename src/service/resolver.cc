@@ -30,7 +30,6 @@ DMatchOptions ToDMatchOptions(const ResolverOptions& options) {
   DMatchOptions dmo;
   static_cast<EngineOptions&>(dmo) = options;
   dmo.num_workers = options.num_workers;
-  dmo.use_virtual_blocks = options.use_virtual_blocks;
   dmo.run_parallel = options.run_parallel;
   return dmo;
 }

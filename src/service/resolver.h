@@ -13,7 +13,7 @@ namespace dcer {
 
 /// Knobs of an open resolver. The EngineOptions base carries everything the
 /// chase itself understands (dependency capacity, MQO, intra-chase threads,
-/// ML indices and profiles, transport); the fields here select the
+/// ML indices and profiles); the fields here select the
 /// execution strategy around it. With `num_workers == 0` the initial
 /// fixpoint runs the sequential chase in-process; with `num_workers > 0` it
 /// runs the BSP DMatch (HyPart partitioning, supersteps, master routing) and
@@ -21,8 +21,7 @@ namespace dcer {
 struct ResolverOptions : EngineOptions {
   /// 0 = sequential initial chase; > 0 = DMatch with that many BSP workers.
   int num_workers = 0;
-  /// DMatch passthroughs (ignored when num_workers == 0); see DMatchOptions.
-  bool use_virtual_blocks = true;
+  /// DMatch passthrough (ignored when num_workers == 0); see DMatchOptions.
   bool run_parallel = true;
   /// Record rule/fact provenance in the match context (sequential opens).
   bool enable_provenance = false;

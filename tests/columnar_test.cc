@@ -127,7 +127,11 @@ TEST(StringPoolTest, ConcurrentReadersSeePublishedStrings) {
   std::atomic<uint64_t> validated{0};
   auto reader = [&]() {
     uint64_t seen = 0;
-    while (!done.load(std::memory_order_acquire)) {
+    // One more full pass after the writer finished, so every reader checks
+    // at least the final state even if it was scheduled only after the last
+    // Intern.
+    for (bool finished = false; !finished;) {
+      finished = done.load(std::memory_order_acquire);
       const uint32_t published = static_cast<uint32_t>(pool.size());
       for (uint32_t id = 0; id < published; ++id) {
         std::string_view v = pool.view(id);

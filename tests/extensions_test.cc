@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "chase/match.h"
-#include "chase/soft_match.h"
 #include "datagen/ecommerce.h"
 #include "datagen/paper_example.h"
 #include "rules/parser.h"
@@ -125,151 +124,6 @@ TEST(IncrementalTest, UpdateDrivenCostIsBelowRechaseCost) {
   AppendOutcome delta = resolver->Append(std::move(batch));
   // The batch inspects far fewer valuations than the initial chase.
   EXPECT_LT(delta.report.chase.valuations, init.chase.valuations / 4);
-}
-
-// ---------------------------------------------------------------------------
-// Soft rules (probabilistic ER, the paper's future-work extension).
-
-TEST(SoftMatchTest, HardChaseIsTheBooleanSpecialCase) {
-  // With weight-1 rules and no ML predicates, soft matching at threshold
-  // 0.5 reproduces the hard chase exactly.
-  Dataset d;
-  size_t rel = d.AddRelation(Schema("R", {{"a", ValueType::kString},
-                                          {"b", ValueType::kString}}));
-  Gid x = d.AppendTuple(rel, {Value("k"), Value("u")});
-  Gid y = d.AppendTuple(rel, {Value("k"), Value("v")});
-  Gid z = d.AppendTuple(rel, {Value("q"), Value("v")});
-  MlRegistry registry;
-  RuleSet rules;
-  ASSERT_TRUE(ParseRuleSet(
-                  "r1: R(t) ^ R(s) ^ t.a = s.a -> t.id = s.id\n"
-                  "r2: R(t) ^ R(s) ^ t.b = s.b -> t.id = s.id\n",
-                  d, registry, &rules)
-                  .ok());
-  DatasetView view = DatasetView::Full(d);
-  SoftMatcher soft(&view, &rules, {}, &registry);
-  soft.Run();
-  EXPECT_DOUBLE_EQ(soft.Probability(x, y), 1.0);
-  EXPECT_DOUBLE_EQ(soft.Probability(y, z), 1.0);
-  EXPECT_DOUBLE_EQ(soft.Probability(x, x), 1.0);
-  // Transitive pair x ~ z via soft transitivity (damped).
-  EXPECT_GE(soft.Probability(x, z), 0.9 * 1.0 * 1.0 - 1e-9);
-  MatchContext hard(d);
-  engine::Match(view, rules, registry, {}, &hard);
-  for (auto [a, b] : hard.MatchedPairs()) {
-    EXPECT_GE(soft.Probability(a, b), 0.5) << a << "," << b;
-  }
-}
-
-TEST(SoftMatchTest, WeightsScaleProbabilities) {
-  Dataset d;
-  size_t rel = d.AddRelation(Schema("R", {{"a", ValueType::kString}}));
-  Gid x = d.AppendTuple(rel, {Value("k")});
-  Gid y = d.AppendTuple(rel, {Value("k")});
-  MlRegistry registry;
-  RuleSet rules;
-  ASSERT_TRUE(ParseRuleSet("r1: R(t) ^ R(s) ^ t.a = s.a -> t.id = s.id\n", d,
-                           registry, &rules)
-                  .ok());
-  DatasetView view = DatasetView::Full(d);
-  SoftMatcher weak(&view, &rules, {0.3}, &registry);
-  weak.Run();
-  // Two orientations of the symmetric valuation accumulate by noisy-or:
-  // 1 - (1-0.3)^2 = 0.51.
-  EXPECT_NEAR(weak.Probability(x, y), 0.51, 1e-9);
-
-  SoftMatcher strong(&view, &rules, {0.9}, &registry);
-  strong.Run();
-  EXPECT_GT(strong.Probability(x, y), weak.Probability(x, y));
-}
-
-TEST(SoftMatchTest, MlScoresEnterMultiplicatively) {
-  Dataset d;
-  size_t rel = d.AddRelation(Schema("P", {{"name", ValueType::kString},
-                                          {"desc", ValueType::kString}}));
-  Gid a = d.AppendTuple(rel, {Value("k"), Value("alpha beta gamma")});
-  Gid b = d.AppendTuple(rel, {Value("k"), Value("alpha beta delta")});
-  Gid c = d.AppendTuple(rel, {Value("k"), Value("zzz yyy xxx")});
-  MlRegistry registry;
-  registry.Register(std::make_unique<TokenJaccardClassifier>("MJ", 0.3));
-  RuleSet rules;
-  ASSERT_TRUE(ParseRuleSet("r1: P(t) ^ P(s) ^ t.name = s.name ^ "
-                           "MJ(t.desc, s.desc) -> t.id = s.id\n",
-                           d, registry, &rules)
-                  .ok());
-  DatasetView view = DatasetView::Full(d);
-  SoftMatcher soft(&view, &rules, {1.0}, &registry);
-  soft.Run();
-  // (a,b) share 2/4 tokens (score 0.5) -> P = 1-(1-0.5)^2 = 0.75;
-  // (a,c) share none -> contributes nothing.
-  EXPECT_NEAR(soft.Probability(a, b), 0.75, 1e-9);
-  EXPECT_LT(soft.Probability(a, c), 0.05);
-  // Matches() is sorted by probability and respects the floor.
-  auto top = soft.Matches(0.5);
-  ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(std::get<0>(top[0]), std::min(a, b));
-}
-
-TEST(SoftMatchTest, RecursiveRulesPropagateBeliief) {
-  // Chain: level-0 pair matched softly; the step rule multiplies by the
-  // parent's probability, so belief decays along the chain but stays above
-  // the threshold for a few hops.
-  Dataset d;
-  size_t rel = d.AddRelation(Schema("Node", {{"tag", ValueType::kString},
-                                             {"lvl", ValueType::kInt},
-                                             {"key", ValueType::kString},
-                                             {"pkey", ValueType::kString}}));
-  std::vector<Gid> a, b;
-  constexpr int kDepth = 3;
-  for (int side = 0; side < 2; ++side) {
-    std::string prefix = side == 0 ? "a" : "b";
-    for (int i = 0; i < kDepth; ++i) {
-      Gid g = d.AppendTuple(
-          rel, {Value("tag" + std::to_string(i)), Value(int64_t{i}),
-                Value(prefix + std::to_string(i)),
-                i == 0 ? Value::Null() : Value(prefix + std::to_string(i - 1))});
-      (side == 0 ? a : b).push_back(g);
-    }
-  }
-  MlRegistry registry;
-  RuleSet rules;
-  ASSERT_TRUE(ParseRuleSet(
-                  "base: Node(t) ^ Node(s) ^ t.lvl = 0 ^ s.lvl = 0 ^ "
-                  "t.tag = s.tag -> t.id = s.id\n"
-                  "step: Node(t) ^ Node(s) ^ Node(pt) ^ Node(ps) ^ "
-                  "t.pkey = pt.key ^ s.pkey = ps.key ^ t.tag = s.tag ^ "
-                  "pt.id = ps.id -> t.id = s.id\n",
-                  d, registry, &rules)
-                  .ok());
-  DatasetView view = DatasetView::Full(d);
-  SoftMatcher soft(&view, &rules, {0.9, 0.9}, &registry);
-  int passes = soft.Run();
-  EXPECT_GT(passes, 1);
-  double p0 = soft.Probability(a[0], b[0]);
-  double p1 = soft.Probability(a[1], b[1]);
-  double p2 = soft.Probability(a[2], b[2]);
-  EXPECT_GT(p0, 0.9);
-  EXPECT_GT(p1, 0.5);
-  EXPECT_GT(p2, 0.4);
-  EXPECT_GE(p0, p1);
-  EXPECT_GE(p1, p2);  // belief decays along the recursion
-}
-
-TEST(SoftMatchTest, ConvergesWithinMaxPasses) {
-  auto ex = MakePaperExample();
-  DatasetView view = DatasetView::Full(ex->dataset);
-  std::vector<double> weights(ex->rules.size(), 0.85);
-  SoftMatchOptions options;
-  options.max_passes = 30;
-  SoftMatcher soft(&view, &ex->rules, weights, &ex->registry, options);
-  int passes = soft.Run();
-  EXPECT_LT(passes, 30);
-  // The hard matches of Example 3 all receive non-trivial probability.
-  MatchContext hard(ex->dataset);
-  engine::Match(view, ex->rules, ex->registry, {}, &hard);
-  for (auto [a, b] : hard.MatchedPairs()) {
-    EXPECT_GT(soft.Probability(a, b), 0.4) << "t" << a + 1 << "~t" << b + 1;
-  }
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // bit-identical to the full chase fixpoint and invariant under every
 // execution knob — threads 1/4 (inline rounds vs rounds recorded on the
 // pool), dependency capacity 0/partial/default, and (at the DMatch level)
-// threads 1/2 and both transports.
+// threads 1/2 with sequential and pooled workers.
 
 #include <gtest/gtest.h>
 
@@ -163,9 +163,8 @@ TEST(IncDeduceTest, NoDropFastPathSkipsSeededJoins) {
 
 TEST(IncDeduceTest, DMatchTransportsAndAblationAgree) {
   // The BSP path with capacity 0: every incremental superstep runs the
-  // seeded recovery. Both transports, sequential and pooled workers, and
-  // inline and pooled IncDeduce rounds must all reproduce the sequential
-  // Match fixpoint.
+  // seeded recovery. Sequential and pooled workers, and inline and pooled
+  // IncDeduce rounds must all reproduce the sequential Match fixpoint.
   auto w = MakeTournament(5, /*with_ml=*/false);
   ASSERT_NE(w, nullptr);
   std::vector<std::pair<Gid, Gid>> expected;
@@ -176,29 +175,20 @@ TEST(IncDeduceTest, DMatchTransportsAndAblationAgree) {
     expected = ctx.MatchedPairs();
   }
   struct Config {
-    TransportKind transport;
     bool run_parallel;
     int threads;
   };
-  const Config configs[] = {
-      {TransportKind::kInProcess, false, 1},
-      {TransportKind::kInProcess, false, 2},
-      {TransportKind::kLoopbackTcp, false, 1},
-      {TransportKind::kLoopbackTcp, false, 2},
-      {TransportKind::kInProcess, true, 2},
-  };
+  const Config configs[] = {{false, 1}, {false, 2}, {true, 2}};
   for (const Config& c : configs) {
     DMatchOptions o;
     o.num_workers = 4;
     o.dependency_capacity = 0;
-    o.transport = c.transport;
     o.run_parallel = c.run_parallel;
     o.threads = c.threads;
     MatchContext ctx(w->dataset);
     DMatchReport r = engine::DMatch(w->dataset, w->rules, w->registry, o, &ctx);
     EXPECT_EQ(ctx.MatchedPairs(), expected)
-        << "transport=" << static_cast<int>(c.transport)
-        << " run_parallel=" << c.run_parallel << " threads=" << c.threads;
+        << "run_parallel=" << c.run_parallel << " threads=" << c.threads;
     EXPECT_GT(r.chase.seeded_joins, 0u);
   }
 }

@@ -10,6 +10,7 @@
 #include "datagen/paper_example.h"
 #include "parallel/dmatch.h"
 #include "parallel/master.h"
+#include "parallel/wire.h"
 #include "rules/parser.h"
 
 namespace dcer {
@@ -66,6 +67,40 @@ TEST(MasterTest, MlFactsRouteOnce) {
   EXPECT_EQ(inboxes[1][0].Key(), ml.Key());
   master.Collect(1, {ml});
   EXPECT_FALSE(master.Dispatch(&inboxes));
+}
+
+TEST(MasterTest, RejectedOutboxBatchChangesNothing) {
+  std::vector<std::vector<uint32_t>> hosts = {{0}, {1}, {0}, {1}};
+  Master master(&hosts, 2, 4);
+  std::vector<uint8_t> good;
+  wire::EncodeFactBatch({Fact::IdMatch(0, 1)}, &good);
+  ASSERT_EQ(master.CollectFromWorker(0, good), wire::WireError::kOk);
+  const uint64_t messages = master.outbox_messages();
+  const uint64_t bytes = master.outbox_bytes();
+  EXPECT_EQ(messages, 1u);
+  EXPECT_EQ(bytes, good.size());
+
+  std::vector<uint8_t> batch;
+  wire::EncodeFactBatch({Fact::IdMatch(2, 3), Fact::IdMatch(1, 2)}, &batch);
+  std::vector<uint8_t> truncated(batch.begin(), batch.end() - 1);
+  std::vector<uint8_t> bad_magic = batch;
+  bad_magic[0] ^= 0xFF;
+  EXPECT_EQ(master.CollectFromWorker(1, truncated),
+            wire::WireError::kTruncated);
+  EXPECT_EQ(master.CollectFromWorker(1, bad_magic),
+            wire::WireError::kBadMagic);
+
+  EXPECT_EQ(master.outbox_messages(), messages);
+  EXPECT_EQ(master.outbox_bytes(), bytes);
+  EXPECT_TRUE(master.global_eid().Same(0, 1));
+  EXPECT_FALSE(master.global_eid().Same(1, 2));
+  EXPECT_FALSE(master.global_eid().Same(2, 3));
+  // Only the accepted batch was queued for routing: worker 1 learns 0 ~ 1.
+  std::vector<std::vector<Fact>> inboxes;
+  ASSERT_TRUE(master.Dispatch(&inboxes));
+  EXPECT_TRUE(inboxes[0].empty());
+  ASSERT_EQ(inboxes[1].size(), 1u);
+  EXPECT_EQ(inboxes[1][0].Key(), Fact::IdMatch(0, 1).Key());
 }
 
 // ---------------------------------------------------------------------------
@@ -318,7 +353,7 @@ TEST(DMatchTest, ReportAccountsForWorkAndCommunication) {
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence propagation policy and transport.
+// Equivalence propagation policy and wire accounting.
 
 // On a workload that merges large classes, spanning pairs route linearly
 // many facts — the O(n) vs O(n^2) claim, at the master level where it is
@@ -345,62 +380,37 @@ TEST(MasterTest, SpanningPairsRouteLinearlyOnClassMerges) {
 }
 
 // Non-timing report fields are deterministic: same workload, same worker
-// count => identical message/byte accounting, across repeated runs, the
-// run_parallel toggle, and the loopback-TCP transport.
+// count => identical message/byte accounting, across repeated runs and the
+// run_parallel toggle.
 TEST(DMatchTest, WireAccountingDeterministicAcrossExecutionModes) {
   auto ex = MakePaperExample();
-  auto run = [&](bool run_parallel, TransportKind kind) {
+  auto run = [&](bool run_parallel) {
     DMatchOptions options;
     options.num_workers = 4;
     options.run_parallel = run_parallel;
-    options.transport = kind;
     MatchContext ctx(ex->dataset);
     return engine::DMatch(ex->dataset, ex->rules, ex->registry, options, &ctx);
   };
-  DMatchReport reference = run(true, TransportKind::kInProcess);
+  DMatchReport reference = run(true);
   for (int rep = 0; rep < 2; ++rep) {
     for (bool run_parallel : {false, true}) {
-      for (TransportKind kind :
-           {TransportKind::kInProcess, TransportKind::kLoopbackTcp}) {
-        DMatchReport r = run(run_parallel, kind);
-        EXPECT_EQ(r.supersteps, reference.supersteps);
-        EXPECT_EQ(r.messages, reference.messages);
-        EXPECT_EQ(r.bytes, reference.bytes);
-        EXPECT_EQ(r.outbox_messages, reference.outbox_messages);
-        EXPECT_EQ(r.outbox_bytes, reference.outbox_bytes);
-        ASSERT_EQ(r.superstep_stats.size(), reference.superstep_stats.size());
-        for (size_t i = 0; i < r.superstep_stats.size(); ++i) {
-          EXPECT_EQ(r.superstep_stats[i].messages,
-                    reference.superstep_stats[i].messages);
-          EXPECT_EQ(r.superstep_stats[i].bytes,
-                    reference.superstep_stats[i].bytes);
-          EXPECT_EQ(r.superstep_stats[i].outbox_bytes,
-                    reference.superstep_stats[i].outbox_bytes);
-        }
+      DMatchReport r = run(run_parallel);
+      EXPECT_EQ(r.supersteps, reference.supersteps);
+      EXPECT_EQ(r.messages, reference.messages);
+      EXPECT_EQ(r.bytes, reference.bytes);
+      EXPECT_EQ(r.outbox_messages, reference.outbox_messages);
+      EXPECT_EQ(r.outbox_bytes, reference.outbox_bytes);
+      ASSERT_EQ(r.superstep_stats.size(), reference.superstep_stats.size());
+      for (size_t i = 0; i < r.superstep_stats.size(); ++i) {
+        EXPECT_EQ(r.superstep_stats[i].messages,
+                  reference.superstep_stats[i].messages);
+        EXPECT_EQ(r.superstep_stats[i].bytes,
+                  reference.superstep_stats[i].bytes);
+        EXPECT_EQ(r.superstep_stats[i].outbox_bytes,
+                  reference.superstep_stats[i].outbox_bytes);
       }
     }
   }
-}
-
-// The loopback-TCP transport must carry the full fixpoint to the same Γ as
-// the in-process mailboxes (or cleanly fall back to them).
-TEST(DMatchTest, LoopbackTcpTransportPreservesResult) {
-  auto ex = MakePaperExample();
-  DMatchOptions in_process;
-  in_process.num_workers = 4;
-  MatchContext c1(ex->dataset);
-  engine::DMatch(ex->dataset, ex->rules, ex->registry, in_process, &c1);
-
-  DMatchOptions tcp = in_process;
-  tcp.transport = TransportKind::kLoopbackTcp;
-  MatchContext c2(ex->dataset);
-  DMatchReport r2 = engine::DMatch(ex->dataset, ex->rules, ex->registry, tcp, &c2);
-  EXPECT_EQ(c1.MatchedPairs(), c2.MatchedPairs());
-  EXPECT_EQ(c1.ValidatedMlKeys(), c2.ValidatedMlKeys());
-  // Either the sockets worked or Create fell back; both are valid, and the
-  // report says which happened.
-  EXPECT_TRUE(std::string(r2.transport) == "loopback_tcp" ||
-              std::string(r2.transport) == "in_process");
 }
 
 }  // namespace

@@ -315,7 +315,6 @@ struct PortableProfile {
   std::vector<uint32_t> gram_counts;
   uint32_t byte_len = 0;
   uint32_t gram_total = 0;
-  uint64_t simhash = 0;
 
   bool operator==(const PortableProfile&) const = default;
 };
@@ -333,7 +332,6 @@ PortableProfile PortableOf(const ProfileStore& store,
                          store.gram_counts(p) + p.gram_count);
   out.byte_len = p.byte_len;
   out.gram_total = p.gram_total;
-  out.simhash = p.simhash;
   return out;
 }
 

@@ -291,7 +291,9 @@ void BM_HypercubeDistribute(benchmark::State& state) {
       static_cast<int>(state.range(0)));
   for (auto _ : state) {
     HashEvaluator hasher;
-    std::vector<std::vector<Gid>> cells(grid.num_cells);
+    std::vector<std::vector<std::vector<uint32_t>>> cells(
+        grid.num_cells,
+        std::vector<std::vector<uint32_t>>(gd->rules.rule(0).num_vars()));
     benchmark::DoNotOptimize(DistributeRule(
         gd->dataset, gd->rules.rule(0), plan.rules[0], grid, &hasher,
         &cells));

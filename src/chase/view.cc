@@ -13,19 +13,11 @@ DatasetView DatasetView::Full(const Dataset& dataset) {
   return DatasetView(&dataset, std::move(rows));
 }
 
-size_t DatasetView::num_tuples() const {
-  size_t total = 0;
-  for (const auto& r : rows_) total += r.size();
-  return total;
-}
-
-void DatasetView::BuildGidMap() {
-  hosted_.clear();
+void DatasetView::BuildMembership() {
+  hosted_ = Bitmap(dataset_->num_tuples());
   for (size_t rel = 0; rel < rows_.size(); ++rel) {
     const Relation& relation = dataset_->relation(rel);
-    for (uint32_t row : rows_[rel]) {
-      hosted_.emplace(relation.gid(row), row);
-    }
+    for (uint32_t row : rows_[rel]) hosted_.Set(relation.gid(row));
   }
 }
 

@@ -65,6 +65,7 @@ void DMatchReport::ExtraJson(JsonWriter* w) const {
   w->KV("outbox_bytes", outbox_bytes);
   w->KV("partition_seconds", partition_seconds);
   w->KV("er_seconds", er_seconds);
+  w->KV("teardown_seconds", teardown_seconds);
   w->KV("simulated_seconds", simulated_seconds);
   w->KV("route_seconds", route_seconds);
   w->KV("route_simulated_seconds", route_simulated_seconds);
@@ -123,7 +124,7 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
   for (int w = 0; w < options.num_workers; ++w) {
     workers.push_back(std::make_unique<Worker>(
         w, dataset, std::move(partition.fragments[w]),
-        std::move(partition.rule_views[w]), &rules, &registry,
+        std::move(partition.rule_blocks[w]), &rules, &registry,
         engine_options));
   }
   Master::Options master_options;
@@ -207,9 +208,22 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
     for (const Fact& f : w->derived_facts()) result->Apply(f, nullptr);
     report.chase += w->stats();
   }
-
   report.er_seconds = er_timer.ElapsedSeconds();
-  report.seconds = report.partition_seconds + report.er_seconds;
+
+  // Teardown: each worker's engine, indices, views and context are freed in
+  // a pool task of their own (run_parallel), not one after another on this
+  // thread.
+  Timer teardown_timer;
+  if (options.run_parallel) {
+    TaskGroup group(&pool);
+    for (auto& w : workers) group.Run([&w] { w.reset(); });
+    group.Wait();
+  }
+  workers.clear();
+  report.teardown_seconds = teardown_timer.ElapsedSeconds();
+
+  report.seconds =
+      report.partition_seconds + report.er_seconds + report.teardown_seconds;
   report.messages = master.messages_routed();
   report.bytes = master.bytes_routed();
   report.outbox_messages = master.outbox_messages();

@@ -43,6 +43,9 @@ struct DMatchReport : RunReport {
   uint64_t outbox_bytes = 0;     // serialized bytes of the outbox batches
   double partition_seconds = 0;
   double er_seconds = 0;         // wall clock of the BSP phase
+  /// Wall clock of freeing the workers (engines, indices, views) after the
+  /// BSP phase. seconds = partition_seconds + er_seconds + this.
+  double teardown_seconds = 0;
   double simulated_seconds = 0;  // Σ_steps max_i t_i: n dedicated machines
   double route_seconds = 0;      // master wall clock spent routing
   /// Σ per-dispatch max destination-shard time: routing on one dedicated

@@ -86,10 +86,10 @@ HypercubeGrid HypercubeGrid::Build(const Dataset& dataset, const Rule& rule,
   return grid;
 }
 
-uint64_t DistributeRule(const Dataset& dataset, const Rule& rule,
-                        const RulePlan& plan, const HypercubeGrid& grid,
-                        HashEvaluator* hasher,
-                        std::vector<std::vector<Gid>>* cells) {
+uint64_t DistributeRule(
+    const Dataset& dataset, const Rule& rule, const RulePlan& plan,
+    const HypercubeGrid& grid, HashEvaluator* hasher,
+    std::vector<std::vector<std::vector<uint32_t>>>* cells) {
   assert(cells->size() >= static_cast<size_t>(grid.num_cells));
   const size_t ndims = plan.dims.size();
   uint64_t generated = 0;
@@ -166,7 +166,7 @@ uint64_t DistributeRule(const Dataset& dataset, const Rule& rule,
           cell += (rest % grid.dim_sizes[d]) * stride[d];
           rest /= grid.dim_sizes[d];
         }
-        (*cells)[cell].push_back(gid);
+        (*cells)[cell][q].push_back(static_cast<uint32_t>(row));
         ++generated;
       }
     }

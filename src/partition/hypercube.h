@@ -37,15 +37,20 @@ struct HypercubeGrid {
                              const RulePlan& plan, int num_cells);
 };
 
-/// Distributes every tuple of the rule's relations into the grid's cells
-/// (appending gids to *cells): for each tuple variable of the rule, the
-/// tuple's coordinate in a dimension is h_fn(value) mod n_d if the dimension
-/// touches the variable, and * (broadcast) otherwise — extended Hypercube of
-/// Sec. IV. Returns the number of generated tuple copies (|E_φ|).
-uint64_t DistributeRule(const Dataset& dataset, const Rule& rule,
-                        const RulePlan& plan, const HypercubeGrid& grid,
-                        HashEvaluator* hasher,
-                        std::vector<std::vector<Gid>>* cells);
+/// Distributes every tuple of the rule's relations into the grid's cells:
+/// for each tuple variable q of the rule, the tuple's coordinate in a
+/// dimension is h_fn(value) mod n_d if the dimension touches q, and *
+/// (broadcast) otherwise — extended Hypercube of Sec. IV. Each copy keeps
+/// its role: the tuple's row is appended to (*cells)[c][q], so every
+/// (cell, variable) list ends up ascending and duplicate-free. *cells must
+/// hold grid.num_cells entries of rule.num_vars() lists each. Every
+/// dimension touches some variable, so a valuation satisfying the rule's
+/// equalities has exactly one cell whose role lists hold all of its tuples.
+/// Returns the number of generated tuple copies (|E_φ|).
+uint64_t DistributeRule(
+    const Dataset& dataset, const Rule& rule, const RulePlan& plan,
+    const HypercubeGrid& grid, HashEvaluator* hasher,
+    std::vector<std::vector<std::vector<uint32_t>>>* cells);
 
 }  // namespace dcer
 

@@ -19,28 +19,44 @@ Master::Master(const std::vector<std::vector<uint32_t>>* hosts,
       num_workers_(num_workers),
       options_(options),
       eid_(num_tuples),
-      route_items_(num_workers),
+      outgoing_(num_workers, std::vector<std::vector<Fact>>(num_workers)),
       sender_keys_(num_workers),
+      hosted_members_(num_workers, 0),
       seen_(num_workers) {}
 
+const std::vector<uint32_t>& Master::HostsOf(Gid gid) const {
+  static const std::vector<uint32_t> kNone;
+  return gid < hosts_->size() ? (*hosts_)[gid] : kNone;
+}
+
 void Master::Collect(int from, std::vector<Fact> facts) {
-  std::vector<Fact>& items = route_items_[from];
+  std::vector<std::vector<Fact>>& out = outgoing_[from];
   std::vector<uint64_t>& sent = sender_keys_[from];
   for (const Fact& f : facts) {
     // The sender already knows this exact fact; its Dispatch shard marks it
     // before any delivery so it is never echoed back.
     sent.push_back(f.Key());
     if (f.kind == Fact::Kind::kMl) {
+      // Only a valuation binding both tuples reads M(a, b), and it runs on
+      // a worker hosting both: route to the intersection of their hosts.
       // Cross-superstep duplicates are suppressed at delivery by the
       // per-destination seen shards; no global validated-ML set.
-      items.push_back(f);
+      const std::vector<uint32_t>& ha = HostsOf(f.a);
+      const std::vector<uint32_t>& hb = HostsOf(f.b);
+      size_t j = 0;
+      for (uint32_t w : ha) {
+        while (j < hb.size() && hb[j] < w) ++j;
+        if (j < hb.size() && hb[j] == w) out[w].push_back(f);
+      }
       continue;
     }
     if (eid_.Same(f.a, f.b)) continue;
-    // Route the |Ca| + |Cb| - 1 spanning pairs (x, new-root): every worker
-    // hosting a member x learns x ~ root, and its local union-find recovers
-    // exactly the pairs it can ever need (any valuation over (x, y) lives
-    // where both are hosted — that worker receives both spanning pairs).
+    // Route the |Ca| + |Cb| - 1 spanning pairs (x, new-root). A worker
+    // learns x ~ root iff it hosts x and at least one other member of the
+    // merged class: its local union-find then recovers every pair of
+    // members it hosts, which are the only pairs its valuations can bind.
+    // A host of x alone needs nothing until a later merge brings a second
+    // member, and that merge re-routes every member's spanning pair.
     std::vector<uint32_t> members = eid_.ClassMembers(f.a);
     {
       std::vector<uint32_t> cb = eid_.ClassMembers(f.b);
@@ -48,8 +64,15 @@ void Master::Collect(int from, std::vector<Fact> facts) {
     }
     eid_.Union(f.a, f.b);
     const uint32_t root = eid_.Find(f.a);
+    std::fill(hosted_members_.begin(), hosted_members_.end(), 0);
     for (uint32_t x : members) {
-      if (x != root) items.push_back(Fact::IdMatch(x, root));
+      for (uint32_t w : HostsOf(x)) ++hosted_members_[w];
+    }
+    for (uint32_t x : members) {
+      if (x == root) continue;
+      for (uint32_t w : HostsOf(x)) {
+        if (hosted_members_[w] >= 2) out[w].push_back(Fact::IdMatch(x, root));
+      }
     }
   }
   outbox_messages_ += facts.size();
@@ -67,50 +90,14 @@ wire::WireError Master::CollectFromWorker(int from,
   return wire::WireError::kOk;
 }
 
-void Master::DestinationsOf(Gid a, Gid b,
-                            std::vector<uint32_t>* out) const {
-  static const std::vector<uint32_t> kNone;
-  const std::vector<uint32_t>& ha =
-      a < hosts_->size() ? (*hosts_)[a] : kNone;
-  const std::vector<uint32_t>& hb =
-      b != a && b < hosts_->size() ? (*hosts_)[b] : kNone;
-  // Both lists are sorted and unique; merge without duplicates.
-  size_t i = 0;
-  size_t j = 0;
-  while (i < ha.size() || j < hb.size()) {
-    if (j == hb.size() || (i < ha.size() && ha[i] < hb[j])) {
-      out->push_back(ha[i++]);
-    } else if (i == ha.size() || hb[j] < ha[i]) {
-      out->push_back(hb[j++]);
-    } else {
-      out->push_back(ha[i++]);
-      ++j;
-    }
-  }
-}
-
 bool Master::Dispatch(std::vector<std::vector<Fact>>* inboxes) {
   Timer route_timer;
   inboxes->assign(num_workers_, {});
 
-  // Phase A — partition: each source's route items are bucketed by
-  // destination worker, one independent task per source (read-only on
-  // hosts_, writes only its own bucket row).
-  std::vector<std::vector<std::vector<Fact>>> buckets(
-      num_workers_, std::vector<std::vector<Fact>>(num_workers_));
-  auto partition_one = [&](int src) {
-    std::vector<uint32_t> dests;
-    for (const Fact& f : route_items_[src]) {
-      dests.clear();
-      DestinationsOf(f.a, f.b, &dests);
-      for (uint32_t d : dests) buckets[src][d].push_back(f);
-    }
-  };
-
-  // Phase B — per-destination merge: sources in worker order (the
-  // deterministic merge), duplicate delivery suppressed by the
-  // destination's own seen shard, then the batch is serialized by the wire
-  // codec. No shard touches another shard's state.
+  // Per-destination merge: sources in worker order (the deterministic
+  // merge), duplicate delivery suppressed by the destination's own seen
+  // shard, then the batch is serialized by the wire codec. No shard touches
+  // another shard's state.
   std::vector<std::vector<uint8_t>> encoded(num_workers_);
   std::vector<uint64_t> shard_messages(num_workers_, 0);
   std::vector<double> shard_seconds(num_workers_, 0);
@@ -122,7 +109,7 @@ bool Master::Dispatch(std::vector<std::vector<Fact>>* inboxes) {
     for (uint64_t key : sender_keys_[d]) seen.insert(key);
     std::vector<Fact> inbox;
     for (int src = 0; src < num_workers_; ++src) {
-      for (const Fact& f : buckets[src][d]) {
+      for (const Fact& f : outgoing_[src][d]) {
         if (seen.insert(f.Key()).second) inbox.push_back(f);
       }
     }
@@ -134,22 +121,17 @@ bool Master::Dispatch(std::vector<std::vector<Fact>>* inboxes) {
 
   if (options_.pool != nullptr) {
     TaskGroup group(options_.pool);
-    for (int src = 0; src < num_workers_; ++src) {
-      group.Run([&partition_one, src] { partition_one(src); });
-    }
-    group.Wait();
     for (int d = 0; d < num_workers_; ++d) {
       group.Run([&merge_one, d] { merge_one(d); });
     }
     group.Wait();
   } else {
-    for (int src = 0; src < num_workers_; ++src) partition_one(src);
     for (int d = 0; d < num_workers_; ++d) merge_one(d);
   }
 
-  // Phase C — delivery (serial, worker order): decode each encoded batch
-  // into the worker's inbox and account the serialized size. The inbox is
-  // what the codec delivered, not the merge shard's vector.
+  // Delivery (serial, worker order): decode each encoded batch into the
+  // worker's inbox and account the serialized size. The inbox is what the
+  // codec delivered, not the merge shard's vector.
   last_dispatch_messages_ = 0;
   last_dispatch_bytes_ = 0;
   bool any = false;
@@ -172,7 +154,7 @@ bool Master::Dispatch(std::vector<std::vector<Fact>>* inboxes) {
   bytes_routed_ += last_dispatch_bytes_;
 
   for (int w = 0; w < num_workers_; ++w) {
-    route_items_[w].clear();
+    for (std::vector<Fact>& bucket : outgoing_[w]) bucket.clear();
     sender_keys_[w].clear();
   }
 

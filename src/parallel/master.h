@@ -15,30 +15,36 @@ class ThreadPool;
 
 /// The coordinator P_0 of the fixpoint model (Sec. III-B): collects the new
 /// matches each worker deduced in a superstep and routes them to the workers
-/// hosting the matched tuples.
+/// that can use them.
 ///
-/// Collect is the only serial section and maintains exactly one piece of
-/// global state: the equivalence relation E_id (a union-find over tuple
-/// ids). When a received match merges classes Ca and Cb it emits the
-/// |Ca| + |Cb| − 1 spanning pairs (x, new-root) instead of the |Ca| × |Cb|
-/// cross product — each worker recovers the same local E_id from the
-/// spanning pairs through its own union-find (MatchContext::Apply expands
-/// class merges locally), and Lemma 6 guarantees any valuation needing a
-/// concrete pair (x, y) lives on a worker hosting both x and y, which
-/// receives both spanning pairs, so Γ equals sequential Match's.
+/// Collect is the only serial section. It maintains exactly one piece of
+/// global state, the equivalence relation E_id (a union-find over tuple
+/// ids), and picks each routed fact's destinations:
+///   - A validated ML fact M(a, b) goes to the workers hosting both a and b:
+///     only a valuation binding both reads it, and Lemma 6 places every
+///     valuation on a worker hosting all its tuples.
+///   - When a match merges classes Ca and Cb, the master emits the
+///     |Ca| + |Cb| − 1 spanning pairs (x, new-root) instead of the
+///     |Ca| × |Cb| cross product. (x, root) goes to the workers hosting x
+///     and at least one other member of the merged class. Each such worker
+///     recovers from the spanning pairs it receives every pair of members it
+///     hosts, through its own union-find (MatchContext::Apply expands class
+///     merges locally). A valuation needing a concrete pair (x, y) lives on
+///     a worker hosting both, which receives both spanning pairs, so Γ
+///     equals sequential Match's.
 ///
-/// Dispatch is the parallel section: route items are partitioned by
-/// destination worker and merged per destination on the thread pool —
-/// sources in worker order, duplicate delivery suppressed by one
-/// `seen` shard per destination (no global set, no cross-shard writes).
-/// Each destination's batch is then serialized by the wire codec
-/// (`parallel/wire.h`) and decoded into the worker inbox, so every
-/// reported byte is a byte a real channel would carry.
+/// Dispatch is the parallel section: each destination merges what the
+/// sources queued for it on the thread pool — sources in worker order,
+/// duplicate delivery suppressed by one `seen` shard per destination (no
+/// global set, no cross-shard writes). Each destination's batch is then
+/// serialized by the wire codec (`parallel/wire.h`) and decoded into the
+/// worker inbox, so every reported byte is a byte a real channel would
+/// carry.
 class Master {
  public:
   struct Options {
-    /// Runs Dispatch's partition and per-destination merge/encode as pool
-    /// tasks. nullptr routes serially; delivered facts are identical.
+    /// Runs Dispatch's per-destination merge/encode as pool tasks. nullptr
+    /// routes serially; delivered facts are identical.
     ThreadPool* pool = nullptr;
   };
 
@@ -50,8 +56,8 @@ class Master {
          size_t num_tuples, Options options);
 
   /// Accepts the outbox of worker `from` at the end of a superstep: updates
-  /// the global E_id and queues route items (serial, O(α) per fact plus
-  /// class size on merges).
+  /// the global E_id and queues each routed fact for its destinations
+  /// (serial, O(α + hosts) per fact plus the members' hosts on merges).
   void Collect(int from, std::vector<Fact> facts);
 
   /// Decodes worker `from`'s encoded outbox batch (empty = no facts) and
@@ -93,17 +99,21 @@ class Master {
   const UnionFind& global_eid() const { return eid_; }
 
  private:
-  // Appends the destinations hosting gid a or b (sorted, unique) to *out.
-  void DestinationsOf(Gid a, Gid b, std::vector<uint32_t>* out) const;
+  // Sorted workers hosting `gid` (none for a gid HyPart never saw).
+  const std::vector<uint32_t>& HostsOf(Gid gid) const;
 
   const std::vector<std::vector<uint32_t>>* hosts_;
   int num_workers_;
   Options options_;
   UnionFind eid_;  // global equivalence over all tuple ids
 
-  // Queued by Collect, drained by Dispatch; indexed by source worker.
-  std::vector<std::vector<Fact>> route_items_;
+  // Queued by Collect, drained by Dispatch: [source][destination] facts,
+  // and per source the keys of the facts it sent.
+  std::vector<std::vector<std::vector<Fact>>> outgoing_;
   std::vector<std::vector<uint64_t>> sender_keys_;
+  // Collect's scratch: per worker, members of the class being merged that
+  // it hosts.
+  std::vector<uint32_t> hosted_members_;
 
   // Per-destination fact keys already delivered (or derived by the
   // destination itself). Only the destination's own Dispatch shard writes

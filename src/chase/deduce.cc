@@ -162,7 +162,9 @@ void ChaseEngine::HandleValuation(size_t rule_idx, RuleJoiner* joiner,
   if (c.kind == PredicateKind::kIdEq) {
     const Gid a = gid(c.lhs.var);
     const Gid b = gid(c.rhs.var);
-    if (a == b) return;  // reflexive, nothing to deduce
+    // Only a one-variable consequence (t.id = t.id) gets here with a == b:
+    // the joiner never binds two consequence variables to one tuple.
+    if (a == b) return;
     target = Fact::IdMatch(a, b);
     if (ctx_->Matched(a, b)) return;  // already in Γ
   } else {

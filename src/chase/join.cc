@@ -72,6 +72,13 @@ RuleJoiner::RuleJoiner(DatasetIndex* index, const Rule* rule,
         break;
     }
   }
+  distinct_partner_.assign(n, -1);
+  const Predicate& c = rule_->consequence();
+  if (c.kind == PredicateKind::kIdEq && c.lhs.var != c.rhs.var &&
+      rule_->var_relation(c.lhs.var) == rule_->var_relation(c.rhs.var)) {
+    distinct_partner_[c.lhs.var] = c.rhs.var;
+    distinct_partner_[c.rhs.var] = c.lhs.var;
+  }
   binding_.assign(n, kInvalidGid);
   bound_.assign(n, false);
   constraint_scratch_.resize(n);
@@ -516,15 +523,26 @@ void RuleJoiner::ForRows(const std::vector<uint32_t>& all_candidates,
     lo = 0;
     hi = kept.size();
   }
-  counters_.candidates_probed += hi - lo;
+  // Drop the row of var's bound consequence partner: a tuple never matches
+  // itself. `skip` is its position in [lo, hi), or hi when absent.
+  size_t skip = hi;
+  if (const int partner = distinct_partner_[var];
+      partner >= 0 && bound_[partner]) {
+    skip = std::find(candidates->begin() + lo, candidates->begin() + hi,
+                     binding_[partner]) -
+           candidates->begin();
+  }
+  counters_.candidates_probed += hi - lo - (skip < hi ? 1 : 0);
   // Last variable with nothing filtering the rows below: every candidate
   // reaches the leaf, so its ML predicates can be evaluated one-vs-many
   // before the loop instead of pair-by-pair inside it.
-  if (num_bound_ == rule_->num_vars() && hi > lo && constraints.empty() &&
+  if (num_bound_ == rule_->num_vars() && constraints.empty() &&
       self_eqs_[var].empty()) {
-    BatchFillMlPredictions(var, *candidates, lo, hi);
+    if (skip > lo) BatchFillMlPredictions(var, *candidates, lo, skip);
+    if (hi > skip + 1) BatchFillMlPredictions(var, *candidates, skip + 1, hi);
   }
   for (size_t i = lo; i < hi; ++i) {
+    if (i == skip) continue;
     uint32_t row = (*candidates)[i];
     // Verify remaining constraints (the lookup enforced only one): a
     // non-NULL cell with the same equality code, i.e. id == id for strings.
@@ -632,6 +650,10 @@ void RuleJoiner::EnumerateSeeded(
       continue;
     }
     if (!roles_.empty() && !roles_[var].Test(row)) return;  // not its role
+    if (const int partner = distinct_partner_[var];
+        partner >= 0 && bound_[partner] && binding_[partner] == row) {
+      return;  // both consequence variables on one tuple
+    }
     if (!RowSatisfiesLocalPreds(var, row)) return;
     binding_[var] = row;
     bound_[var] = true;

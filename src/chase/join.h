@@ -91,6 +91,13 @@ struct JoinCounters {
 /// then bound only to rows in roles[q] — checked before a candidate run is
 /// scored or iterated, and on every seed — so each valuation is enumerated
 /// in exactly one cell. Joiners over a whole view pass no roles.
+///
+/// An id rule `... -> t.id = s.id` whose distinct variables t and s range
+/// over one relation deduces nothing when both bind the same tuple, so the
+/// joiner never enumerates such a valuation: once one of t, s is bound, the
+/// other's candidates lose that row (before any ML kernel scores it), and a
+/// seed binding both to one row yields nothing. The surviving valuations
+/// keep their order. ML-consequence rules are enumerated in full.
 class RuleJoiner {
  public:
   using Callback = std::function<bool(const std::vector<uint32_t>& rows,
@@ -254,6 +261,9 @@ class RuleJoiner {
   std::vector<std::vector<const Predicate*>> self_eqs_;      // t.A = t.B
   std::vector<const Predicate*> cross_eqs_;                  // t.A = s.B
   std::vector<int> leaf_preds_;  // indices of id/ML preconditions
+  // [var]: the other variable of a `t.id = s.id` consequence over one
+  // relation (never bound to var's row), or -1.
+  std::vector<int> distinct_partner_;
 
   // ML candidate generation (ConfigureMlIndex). ml_prunable_[i] is set for
   // precondition i iff it is an ML predicate whose classifier can index,

@@ -718,12 +718,19 @@ void ResolverDaemon::ChaseDrain() {
 
     for (const Decoded& d : decoded) {
       Response resp;
-      resp.kind = Response::Kind::kAppended;
-      resp.snapshot_version = outcome.snapshot_version;
-      resp.gids.assign(
-          outcome.gids.begin() + static_cast<ptrdiff_t>(d.first_tuple),
-          outcome.gids.begin() +
-              static_cast<ptrdiff_t>(d.first_tuple + d.num_tuples));
+      if (!outcome.status.ok()) {
+        // A refused batch appended nothing: none of its requests did.
+        resp.kind = Response::Kind::kError;
+        resp.error = wire::WireError::kSchemaMismatch;
+        resp.text = outcome.status.ToString();
+      } else {
+        resp.kind = Response::Kind::kAppended;
+        resp.snapshot_version = outcome.snapshot_version;
+        resp.gids.assign(
+            outcome.gids.begin() + static_cast<ptrdiff_t>(d.first_tuple),
+            outcome.gids.begin() +
+                static_cast<ptrdiff_t>(d.first_tuple + d.num_tuples));
+      }
       std::vector<uint8_t> payload;
       EncodeResponse(resp, &payload);
       AppendFramed(payload, &replies[d.work].frame);

@@ -1,6 +1,7 @@
 #include "service/resolver.h"
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -25,6 +26,37 @@ Resolver::Resolver(std::unique_ptr<Dataset> owned, const Dataset* dataset,
 Resolver::~Resolver() = default;
 
 namespace {
+
+// The first tuple of `batch` that `dataset` cannot hold, as InvalidArgument:
+// an unknown relation, a row of the wrong arity, or a non-NULL cell whose
+// type is not its column's.
+Status ValidateBatch(const Dataset& dataset, const TupleBatch& batch) {
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const TupleBatch::Entry& entry = batch.tuples[i];
+    if (entry.relation >= dataset.num_relations()) {
+      return Status::InvalidArgument(StringPrintf(
+          "tuple %zu: relation %zu of %zu", i, entry.relation,
+          dataset.num_relations()));
+    }
+    const Schema& schema = dataset.relation(entry.relation).schema();
+    if (entry.row.size() != schema.num_attrs()) {
+      return Status::InvalidArgument(StringPrintf(
+          "tuple %zu: %zu cells for %s's %zu attributes", i, entry.row.size(),
+          schema.name().c_str(), schema.num_attrs()));
+    }
+    for (size_t a = 0; a < entry.row.size(); ++a) {
+      const Value& v = entry.row[a];
+      const ValueType type = schema.attr(a).type;
+      if (!v.is_null() && v.type() != type) {
+        return Status::InvalidArgument(StringPrintf(
+            "tuple %zu: %s.%s holds %s, got %s", i, schema.name().c_str(),
+            schema.attr(a).name.c_str(), ValueTypeName(type),
+            ValueTypeName(v.type())));
+      }
+    }
+  }
+  return Status::OK();
+}
 
 DMatchOptions ToDMatchOptions(const ResolverOptions& options) {
   DMatchOptions dmo;
@@ -103,10 +135,13 @@ AppendOutcome Resolver::Append(TupleBatch batch) {
   DCER_TRACE("resolver.append");
   AppendOutcome out;
   if (!owned_dataset_) {
-    DCER_LOG(Warning) << "Append refused: resolver borrows its dataset";
+    out.status = Status::NotSupported("resolver borrows its dataset");
+    DCER_LOG(Warning) << "Append refused: " << out.status.ToString();
     return out;
   }
   std::lock_guard<std::mutex> lock(append_mu_);
+  out.status = ValidateBatch(*owned_dataset_, batch);
+  if (!out.status.ok()) return out;
   // Only a DMatch open gets here without an engine: the re-seed, after
   // which appends are |Δ|-proportional.
   if (engine_ == nullptr) BuildEngine();

@@ -7,6 +7,7 @@
 
 #include "chase/gamma_snapshot.h"
 #include "chase/match.h"
+#include "common/status.h"
 #include "parallel/dmatch.h"
 
 namespace dcer {
@@ -49,7 +50,10 @@ struct TupleBatch {
 /// the incremental-maintenance report of the fixpoint it triggered, and the
 /// version of the snapshot published at that fixpoint — by the time Append
 /// returns, every query against Snapshot() sees the batch's consequences.
+/// A refused batch has a non-OK `status`, no gids and snapshot_version 0,
+/// and left the dataset and the published snapshot untouched.
 struct AppendOutcome {
+  Status status;
   std::vector<Gid> gids;
   MatchReport report;
   uint64_t snapshot_version = 0;
@@ -97,8 +101,11 @@ class Resolver {
 
   /// Appends the batch to the dataset, runs the update-driven chase to the
   /// new fixpoint, publishes a fresh snapshot, and returns the assigned gids
-  /// plus the per-batch report. Refused (empty outcome, no gids) on a
-  /// borrowed-dataset resolver.
+  /// plus the per-batch report. The whole batch is validated before the
+  /// first tuple is appended: a relation index out of range, a row of the
+  /// wrong arity or a non-NULL cell of the wrong type refuses it with
+  /// InvalidArgument, and a borrowed-dataset resolver refuses every batch
+  /// with NotSupported.
   AppendOutcome Append(TupleBatch batch);
 
   /// The current published Γ snapshot (never null after Open returns).

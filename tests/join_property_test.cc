@@ -11,15 +11,29 @@
 namespace dcer {
 namespace {
 
+// The consequence variables a RuleJoiner never binds to one row: those of
+// an id consequence `t.id = s.id` with t ≠ s over one relation. {-1, -1}
+// for every other rule.
+std::pair<int, int> DistinctConsequenceVars(const Rule& rule) {
+  const Predicate& c = rule.consequence();
+  if (c.kind == PredicateKind::kIdEq && c.lhs.var != c.rhs.var &&
+      rule.var_relation(c.lhs.var) == rule.var_relation(c.rhs.var)) {
+    return {c.lhs.var, c.rhs.var};
+  }
+  return {-1, -1};
+}
+
 // Brute-force enumeration of all bindings of `rule` whose constant/equality
 // predicates hold, together with the set of unsatisfied id/ML predicate
-// indices — the ground truth the RuleJoiner must reproduce exactly.
+// indices — the ground truth the RuleJoiner must reproduce exactly. An id
+// rule's two consequence variables over one relation never share a row: such
+// a valuation would equate a tuple with itself.
 using Binding = std::vector<uint32_t>;
 using Found = std::set<std::pair<Binding, std::vector<int>>>;
 
-Found BruteForce(const Dataset& d, const Rule& rule,
-                 const MlRegistry& registry, const MatchContext& ctx) {
+Found BruteForce(const Dataset& d, const Rule& rule, const MatchContext& ctx) {
   Found out;
+  const auto [lhs, rhs] = DistinctConsequenceVars(rule);
   std::vector<uint32_t> rows(rule.num_vars(), 0);
   std::vector<size_t> sizes(rule.num_vars());
   for (size_t v = 0; v < rule.num_vars(); ++v) {
@@ -31,7 +45,7 @@ Found BruteForce(const Dataset& d, const Rule& rule,
     for (size_t v = 0; v < rule.num_vars(); ++v) {
       rows[v] = static_cast<uint32_t>(idx[v]);
     }
-    bool hard_ok = true;
+    bool hard_ok = lhs < 0 || rows[lhs] != rows[rhs];
     std::vector<int> unsat;
     for (size_t i = 0; i < rule.preconditions().size() && hard_ok; ++i) {
       const Predicate& p = rule.preconditions()[i];
@@ -111,7 +125,8 @@ std::unique_ptr<Fixture> MakeFixture(uint64_t seed) {
       "u.what = v.what -> t.id = s.id\n"
       "r5: P(t) ^ P(s) ^ t.name = s.name ^ MN(t.city, s.city) -> t.id = s.id\n"
       "r6: P(t) ^ P(s) ^ P(w) ^ t.id = w.id ^ s.id = w.id -> t.id = s.id\n"
-      "r7: P(t) ^ P(s) ^ t.name = s.city -> t.id = s.id\n";
+      "r7: P(t) ^ P(s) ^ t.name = s.city -> t.id = s.id\n"
+      "r8: P(t) ^ P(s) ^ t.name = s.name -> MN(t.city, s.city)\n";
   Status st = ParseRuleSet(kRules, fx->d, fx->registry, &fx->rules);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return fx;
@@ -139,7 +154,7 @@ TEST_P(JoinPropertyTest, EnumerationMatchesBruteForce) {
           << "duplicate valuation in " << rule.name();
       return true;
     });
-    Found expected = BruteForce(fx->d, rule, fx->registry, ctx);
+    Found expected = BruteForce(fx->d, rule, ctx);
     EXPECT_EQ(found, expected) << rule.name() << " seed " << GetParam();
   }
 }
@@ -205,7 +220,7 @@ TEST_P(JoinPropertyTest, RoleBitmapsFilterEveryBinding) {
       return true;
     };
     Found expected;
-    for (const auto& entry : BruteForce(fx->d, rule, fx->registry, ctx)) {
+    for (const auto& entry : BruteForce(fx->d, rule, ctx)) {
       if (in_roles(entry.first)) expected.insert(entry);
     }
 
@@ -239,6 +254,72 @@ TEST_P(JoinPropertyTest, RoleBitmapsFilterEveryBinding) {
     }
     EXPECT_EQ(seeded, expected) << rule.name() << " seed " << GetParam();
   }
+}
+
+// No rule's callback ever sees its two distinct consequence variables on
+// one row, whether enumerated in full or seeded, and seeding both of them
+// with the same row yields nothing at all.
+TEST_P(JoinPropertyTest, NeverBindsBothConsequenceVariablesToOneRow) {
+  auto fx = MakeFixture(GetParam() + 4000);
+  DatasetView view = DatasetView::Full(fx->d);
+  MatchContext ctx(fx->d);
+  size_t pruned_rules = 0;
+  size_t seen = 0;
+  for (const Rule& rule : fx->rules.rules()) {
+    const auto [lhs, rhs] = DistinctConsequenceVars(rule);
+    if (lhs < 0) continue;
+    ++pruned_rules;
+    DatasetIndex index(&view);
+    RuleJoiner joiner(&index, &rule, &fx->registry, &ctx);
+    auto distinct = [&](const std::vector<uint32_t>& rows,
+                        const std::vector<int>&) {
+      EXPECT_NE(rows[lhs], rows[rhs]) << rule.name();
+      ++seen;
+      return true;
+    };
+    joiner.Enumerate(distinct);
+    const uint32_t num_rows =
+        static_cast<uint32_t>(fx->d.relation(rule.var_relation(lhs)).num_rows());
+    for (uint32_t row = 0; row < num_rows; ++row) {
+      std::pair<int, uint32_t> one[1] = {{lhs, row}};
+      joiner.EnumerateSeeded(one, distinct);
+      std::pair<int, uint32_t> both[2] = {{lhs, row}, {rhs, row}};
+      joiner.EnumerateSeeded(both, [&](const std::vector<uint32_t>&,
+                                       const std::vector<int>&) {
+        ADD_FAILURE() << rule.name() << " enumerated a reflexive seed, row "
+                      << row;
+        return true;
+      });
+    }
+  }
+  EXPECT_GT(seen, 0u) << "seed " << GetParam();
+  EXPECT_EQ(pruned_rules, 6u);  // all but r3 (t.id = t.id) and r8 (ML)
+}
+
+// An ML consequence is a validated fact even on one tuple, so an ML rule
+// over one relation still enumerates its reflexive valuations.
+TEST_P(JoinPropertyTest, MlConsequenceKeepsReflexiveValuations) {
+  auto fx = MakeFixture(GetParam() + 5000);
+  DatasetView view = DatasetView::Full(fx->d);
+  MatchContext ctx(fx->d);
+  const Rule& rule = fx->rules.rule(7);  // r8: ... -> MN(t.city, s.city)
+  ASSERT_EQ(rule.consequence().kind, PredicateKind::kMl);
+  DatasetIndex index(&view);
+  RuleJoiner joiner(&index, &rule, &fx->registry, &ctx);
+  size_t reflexive = 0;
+  joiner.Enumerate([&](const std::vector<uint32_t>& rows,
+                       const std::vector<int>&) {
+    if (rows[0] == rows[1]) ++reflexive;
+    return true;
+  });
+  // Every row whose name is not NULL joins itself on t.name = s.name.
+  const Relation& people = fx->d.relation(0);
+  size_t named = 0;
+  for (uint32_t row = 0; row < people.num_rows(); ++row) {
+    if (!people.at(row, 0).is_null()) ++named;
+  }
+  EXPECT_GT(named, 0u);
+  EXPECT_EQ(reflexive, named);
 }
 
 TEST_P(JoinPropertyTest, EarlyStopIsRespected) {

@@ -270,8 +270,63 @@ TEST(ResolverTest, BorrowedResolverRefusesAppend) {
   TupleBatch batch;
   batch.Add(0, gd->dataset.relation(0).row(0));
   AppendOutcome outcome = resolver->Append(std::move(batch));
+  EXPECT_EQ(outcome.status.code(), Status::Code::kNotSupported);
   EXPECT_TRUE(outcome.gids.empty());
   EXPECT_EQ(gd->dataset.num_tuples(), before);
+}
+
+// A batch is validated whole before its first tuple is appended: each bad
+// batch below leads with a valid tuple, and after its refusal the dataset
+// and the published snapshot are exactly as before.
+TEST(ResolverTest, InvalidBatchIsRefusedBeforeAnyTupleIsAppended) {
+  auto setup = MakeStreamSetup(40, 4);
+  auto resolver = Resolver::Open(std::move(setup.prefix), setup.rules,
+                                 &setup.gd->registry);
+  const auto [rel, good] = setup.tail[0];
+  const Schema& schema = resolver->dataset().relation(rel).schema();
+  size_t string_attr = schema.num_attrs();
+  for (size_t a = 0; a < schema.num_attrs(); ++a) {
+    if (schema.attr(a).type == ValueType::kString) string_attr = a;
+  }
+  ASSERT_LT(string_attr, schema.num_attrs());
+
+  Row short_row = good;
+  short_row.pop_back();
+  Row long_row = good;
+  long_row.push_back(Value(int64_t{7}));
+  Row wrong_type = good;
+  wrong_type[string_attr] = Value(int64_t{7});
+  const std::pair<size_t, Row> bad_tuples[] = {
+      {resolver->dataset().num_relations(), good},
+      {rel, short_row},
+      {rel, long_row},
+      {rel, wrong_type},
+  };
+  const size_t tuples = resolver->dataset().num_tuples();
+  const uint64_t version = resolver->Snapshot()->version();
+  for (const auto& [bad_rel, bad_row] : bad_tuples) {
+    TupleBatch batch;
+    batch.Add(rel, good);
+    batch.Add(bad_rel, bad_row);
+    const AppendOutcome outcome = resolver->Append(std::move(batch));
+    EXPECT_EQ(outcome.status.code(), Status::Code::kInvalidArgument)
+        << outcome.status.ToString();
+    EXPECT_TRUE(outcome.gids.empty());
+    EXPECT_EQ(resolver->dataset().num_tuples(), tuples);
+    EXPECT_EQ(resolver->Snapshot()->version(), version);
+  }
+
+  // A NULL cell fits any column, and the resolver still appends after the
+  // refusals.
+  Row with_null = good;
+  with_null[string_attr] = Value::Null();
+  TupleBatch batch;
+  batch.Add(rel, with_null);
+  const AppendOutcome outcome = resolver->Append(std::move(batch));
+  EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_EQ(outcome.gids.size(), 1u);
+  EXPECT_EQ(resolver->dataset().num_tuples(), tuples + 1);
+  EXPECT_GT(resolver->Snapshot()->version(), version);
 }
 
 TEST(ResolverTest, SnapshotQueriesAgreeWithGamma) {

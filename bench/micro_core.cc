@@ -1,59 +1,34 @@
 // Micro-benchmarks (google-benchmark) for the core data structures: the
-// union-find behind E_id, text embeddings, similarity kernels, candidate
-// indices, inverted-index construction, rule-join enumeration, and Hypercube
-// distribution.
+// union-find behind E_id, text embeddings, similarity kernels (pairwise and
+// one-vs-many batch), candidate indices, inverted-index construction,
+// rule-join enumeration, the ML prediction cache and Hypercube distribution.
 //
-// After the registered benchmarks run, main() measures the executor-level
-// numbers the thread-pool and ML-index work target — sequential vs pooled
-// DMatch wall clock (with a bit-identity check on the outputs), the ML
-// prediction cache's hit latency, per-kernel similarity latencies, and an
-// ML-predicate-dominated Match workload with candidate indices off vs on —
-// and writes them to BENCH_core.json in the working directory.
+// Kernel costs are reported, not gated: exact work counters live in
+// tests/counters_test.cc, end-to-end timings in perfbench/. The binary
+// writes no file; pass google-benchmark flags such as
+// --benchmark_filter=<regex> or --benchmark_format=json.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <string>
-#include <string_view>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "bench/workloads.h"
-#include "chase/deduce.h"
 #include "chase/join.h"
-#include "chase/match.h"
-#include "common/hash.h"
+#include "chase/match_context.h"
 #include "common/rng.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
-#include "common/timer.h"
 #include "common/union_find.h"
 #include "datagen/ecommerce.h"
-#include "datagen/tpch_lite.h"
 #include "ml/candidate_index.h"
-#include "ml/classifier.h"
 #include "ml/embedding.h"
 #include "ml/profile.h"
 #include "ml/registry.h"
 #include "ml/simd.h"
 #include "ml/similarity.h"
-#include "obs/json.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "parallel/dmatch.h"
-#include "parallel/master.h"
-#include "parallel/wire.h"
 #include "partition/hypercube.h"
+#include "partition/mqo.h"
 #include "relational/string_pool.h"
-#include "rules/parser.h"
-#include "service/client.h"
-#include "service/daemon.h"
-#include "service/resolver.h"
 
 namespace dcer {
 namespace {
@@ -301,1344 +276,7 @@ void BM_HypercubeDistribute(benchmark::State& state) {
 }
 BENCHMARK(BM_HypercubeDistribute)->Arg(16)->Arg(256);
 
-// --- BENCH_core.json: executor-level numbers -------------------------------
-
-double BestOf3DMatchWall(GenDataset& gd, bool run_parallel, int threads,
-                         std::unique_ptr<MatchContext>* last_ctx,
-                         DMatchReport* best_report = nullptr) {
-  double best = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    gd.registry.ClearCache();
-    gd.registry.ResetStats();
-    auto ctx = std::make_unique<MatchContext>(gd.dataset);
-    DMatchOptions options;
-    options.num_workers = 4;
-    options.run_parallel = run_parallel;
-    options.threads = threads;
-    DMatchReport r =
-        engine::DMatch(gd.dataset, gd.rules, gd.registry, options, ctx.get());
-    if (rep == 0 || r.er_seconds < best) {
-      best = r.er_seconds;
-      if (best_report != nullptr) *best_report = std::move(r);
-    }
-    if (rep == 2) *last_ctx = std::move(ctx);
-  }
-  return best;
-}
-
-// Sum of the incremental supersteps' simulated times (every step after the
-// partial evaluation), so the two BSP phases regress independently.
-double IncrementalStepSeconds(const DMatchReport& r) {
-  double total = 0;
-  for (const SuperstepStats& s : r.superstep_stats) {
-    if (s.step > 0) total += s.max_seconds;
-  }
-  return total;
-}
-
-// Timer-based kernel latencies recorded into BENCH_core.json so regressions
-// are visible across commits without re-parsing google-benchmark output.
-struct KernelNs {
-  double token_jaccard_ns = 0;
-  double edit_distance_ns = 0;
-  double edit_similarity_ns = 0;
-  double cosine_ns = 0;
-  double ml_probe_ns = 0;
-};
-
-KernelNs MeasureKernelNs() {
-  KernelNs k;
-  std::vector<std::string> descs = DescCorpus(200);
-  constexpr int kReps = 200'000;
-
-  {
-    double sink = 0;
-    Timer t;
-    for (int i = 0; i < kReps; ++i) {
-      sink += TokenJaccard(descs[i % descs.size()],
-                           descs[(i + 7) % descs.size()]);
-    }
-    k.token_jaccard_ns = t.ElapsedSeconds() * 1e9 / kReps;
-    if (sink < 0) std::printf("unreachable\n");
-  }
-  {
-    const std::string a = "katherine-rodriguez lopez";
-    const std::string b = "katheryn rodriguez-lopezz";
-    size_t sink = 0;
-    Timer t;
-    for (int i = 0; i < kReps; ++i) sink += EditDistance(a, b, 4);
-    k.edit_distance_ns = t.ElapsedSeconds() * 1e9 / kReps;
-    double sink2 = 0;
-    Timer t2;
-    for (int i = 0; i < kReps; ++i) sink2 += EditSimilarity(a, b);
-    k.edit_similarity_ns = t2.ElapsedSeconds() * 1e9 / kReps;
-    if (sink == 0 && sink2 < 0) std::printf("unreachable\n");
-  }
-  {
-    Embedding a = EmbedText(descs[0]);
-    Embedding b = EmbedText(descs[1]);
-    double sink = 0;
-    Timer t;
-    for (int i = 0; i < kReps; ++i) sink += Cosine(a, b);
-    k.cosine_ns = t.ElapsedSeconds() * 1e9 / kReps;
-    if (sink < -1e18) std::printf("unreachable\n");
-  }
-  {
-    std::vector<uint32_t> rows(descs.size());
-    for (size_t r = 0; r < rows.size(); ++r) {
-      rows[r] = static_cast<uint32_t>(r);
-    }
-    auto fill = [&](uint32_t row, std::vector<Value>* out) {
-      out->clear();
-      out->emplace_back(descs[row]);
-    };
-    TokenJaccardIndex index(0.5, rows, fill);
-    std::vector<Value> query;
-    std::vector<uint32_t> out;
-    constexpr int kProbeReps = 50'000;
-    size_t sink = 0;
-    Timer t;
-    for (int i = 0; i < kProbeReps; ++i) {
-      fill(static_cast<uint32_t>(i % descs.size()), &query);
-      index.Probe(query, &out);
-      sink += out.size();
-    }
-    k.ml_probe_ns = t.ElapsedSeconds() * 1e9 / kProbeReps;
-    if (sink == size_t(-1)) std::printf("unreachable\n");
-  }
-  return k;
-}
-
-// Timer-based numbers for the one-vs-many batch path (same corpus and
-// rotation as token_jaccard_ns, so the per-pair speedup is apples-to-apples):
-// cold profile-build cost, arena footprint, and per-pair latency of the
-// batched score and predicate kernels at batch 256 with warm profiles. The
-// scores are cross-checked bit-for-bit against the pairwise kernels.
-struct BatchKernelNumbers {
-  std::string simd_level;
-  double build_seconds = 0;        // from-scratch ProfileStore::Sync
-  uint64_t profile_bytes = 0;      // arena footprint
-  double token_jaccard_batch_ns = 0;  // ScoreTokenJaccardBatch, per pair
-  double ml_probe_batch_ns = 0;       // PredictTokenJaccardBatch @0.5, per pair
-  double edit_predict_batch_ns = 0;   // PredictEditSimilarityBatch @0.75
-  bool batch_scores_equal = true;     // batch ≡ pairwise, spot-checked
-};
-
-BatchKernelNumbers MeasureBatchKernels() {
-  BatchKernelNumbers out;
-  out.simd_level = simd::LevelName(simd::ActiveLevel());
-  std::vector<std::string> descs = DescCorpus(200);
-  StringPool pool;
-  std::vector<uint32_t> ids;
-  ids.reserve(descs.size());
-  for (const auto& s : descs) ids.push_back(pool.Intern(s));
-  {
-    Timer t;
-    ProfileStore cold(&pool);
-    cold.Sync();
-    out.build_seconds = t.ElapsedSeconds();
-  }
-  ProfileStore store(&pool);
-  store.Sync();
-  out.profile_bytes = store.ByteSize();
-
-  constexpr size_t kBatch = 256;
-  std::vector<uint32_t> cands(kBatch);
-  for (size_t i = 0; i < kBatch; ++i) cands[i] = ids[(i * 7) % ids.size()];
-  std::vector<double> scores(kBatch);
-  std::vector<uint8_t> preds(kBatch);
-  constexpr int kReps = 2'000;  // kReps * kBatch pairs per measurement
-
-  {
-    double sink = 0;
-    Timer t;
-    for (int r = 0; r < kReps; ++r) {
-      ScoreTokenJaccardBatch(store, ids[r % ids.size()], cands.data(), kBatch,
-                             scores.data());
-      sink += scores[static_cast<size_t>(r) % kBatch];
-    }
-    out.token_jaccard_batch_ns =
-        t.ElapsedSeconds() * 1e9 / (kReps * static_cast<double>(kBatch));
-    if (sink < 0) std::printf("unreachable\n");
-  }
-  {
-    size_t sink = 0;
-    Timer t;
-    for (int r = 0; r < kReps; ++r) {
-      PredictTokenJaccardBatch(store, ids[r % ids.size()], cands.data(),
-                               kBatch, 0.5, preds.data());
-      sink += preds[static_cast<size_t>(r) % kBatch];
-    }
-    out.ml_probe_batch_ns =
-        t.ElapsedSeconds() * 1e9 / (kReps * static_cast<double>(kBatch));
-    if (sink == size_t(-1)) std::printf("unreachable\n");
-  }
-  {
-    size_t sink = 0;
-    Timer t;
-    for (int r = 0; r < kReps; ++r) {
-      PredictEditSimilarityBatch(store, ids[r % ids.size()], cands.data(),
-                                 kBatch, 0.75, preds.data());
-      sink += preds[static_cast<size_t>(r) % kBatch];
-    }
-    out.edit_predict_batch_ns =
-        t.ElapsedSeconds() * 1e9 / (kReps * static_cast<double>(kBatch));
-    if (sink == size_t(-1)) std::printf("unreachable\n");
-  }
-  // Bit-identity spot check against the pairwise kernels, one full batch.
-  for (size_t p = 0; p < 8 && out.batch_scores_equal; ++p) {
-    const uint32_t probe = ids[p * 13 % ids.size()];
-    ScoreTokenJaccardBatch(store, probe, cands.data(), kBatch, scores.data());
-    PredictEditSimilarityBatch(store, probe, cands.data(), kBatch, 0.75,
-                               preds.data());
-    for (size_t i = 0; i < kBatch; ++i) {
-      const std::string_view a = pool.view(probe);
-      const std::string_view b = pool.view(cands[i]);
-      if (scores[i] != TokenJaccard(a, b) ||
-          (preds[i] != 0) != (EditSimilarity(a, b) >= 0.75)) {
-        out.batch_scores_equal = false;
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-// ML-predicate-dominated workload: two rules whose only join constraint is an
-// ML predicate, so without candidate indices the chase post-filters the full
-// cross-product. MJ's jaccard 0.5 on Products.desc is selective because each
-// desc carries rare sku/model tokens; ME's edit 0.75 on Customers.name gets a
-// real q-gram count bound (k = floor(0.25 * max)).
-struct MlWorkloadNumbers {
-  double off_seconds = 0;
-  double on_seconds = 0;
-  double noprofiles_seconds = 0;  // ml_index on, ml_profiles off (ablation)
-  bool pairs_equal = false;
-  uint64_t matched_pairs = 0;
-  uint64_t indices_built = 0;
-};
-
-MlWorkloadNumbers MeasureMlWorkload() {
-  MlWorkloadNumbers out;
-  EcommerceOptions options;
-  options.num_customers = 300;
-  auto gd = MakeEcommerce(options);
-  gd->registry.Register(std::make_unique<TokenJaccardClassifier>("MJ", 0.5));
-  gd->registry.Register(std::make_unique<EditSimilarityClassifier>("ME", 0.75));
-  RuleSet rules;
-  Status st = ParseRuleSet(
-      "rj: Products(tp) ^ Products(tp2) ^ MJ(tp.desc, tp2.desc) "
-      "-> tp.id = tp2.id\n"
-      "re: Customers(tc) ^ Customers(tc2) ^ ME(tc.name, tc2.name) "
-      "-> tc.id = tc2.id\n",
-      gd->dataset, gd->registry, &rules);
-  if (!st.ok()) {
-    std::printf("ml workload rules failed to parse: %s\n",
-                std::string(st.message()).c_str());
-    return out;
-  }
-  DatasetView view = DatasetView::Full(gd->dataset);
-
-  auto best_of_3 = [&](bool ml_index, bool ml_profiles,
-                       std::unique_ptr<MatchContext>* last) {
-    double best = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-      gd->registry.ClearCache();
-      auto ctx = std::make_unique<MatchContext>(gd->dataset);
-      MatchOptions mo;
-      mo.ml_index = ml_index;
-      mo.ml_profiles = ml_profiles;
-      Timer t;
-      MatchReport r = engine::Match(view, rules, gd->registry, mo, ctx.get());
-      double secs = t.ElapsedSeconds();
-      if (rep == 0 || secs < best) best = secs;
-      if (rep == 2) {
-        out.indices_built = r.chase.ml_indices_built;
-        *last = std::move(ctx);
-      }
-    }
-    return best;
-  };
-
-  std::unique_ptr<MatchContext> ctx_off;
-  std::unique_ptr<MatchContext> ctx_on;
-  std::unique_ptr<MatchContext> ctx_noprof;
-  out.off_seconds = best_of_3(false, false, &ctx_off);
-  out.on_seconds = best_of_3(true, true, &ctx_on);
-  out.noprofiles_seconds = best_of_3(true, false, &ctx_noprof);
-  out.pairs_equal = ctx_off->MatchedPairs() == ctx_on->MatchedPairs() &&
-                    ctx_off->ValidatedMlKeys() == ctx_on->ValidatedMlKeys() &&
-                    ctx_off->MatchedPairs() == ctx_noprof->MatchedPairs() &&
-                    ctx_off->ValidatedMlKeys() == ctx_noprof->ValidatedMlKeys();
-  out.matched_pairs = ctx_on->num_matched_pairs();
-  return out;
-}
-
-// --- message-plane benches -------------------------------------------------
-
-// Exchange-heavy workload for the router alone: 4 workers, every tuple
-// hosted on up to two of them, each worker's outbox full of fresh random
-// pairs plus a slice of ML facts, one Dispatch. Serial vs pooled routing of
-// the identical stream, with a fact-identical check on the delivered
-// inboxes.
-struct RoutingNumbers {
-  double serial_seconds = 0;
-  double pooled_seconds = 0;
-  double pooled_shard_sum = 0;  // serial-equivalent work inside the shards
-  double pooled_shard_max = 0;  // one dedicated core per destination shard
-  uint64_t messages = 0;
-  uint64_t bytes = 0;
-  bool inboxes_equal = false;
-};
-
-RoutingNumbers MeasureRouting() {
-  constexpr int kWorkers = 4;
-  constexpr uint32_t kTuples = 1 << 16;
-  constexpr size_t kFactsPerWorker = 20'000;
-
-  std::vector<std::vector<uint32_t>> hosts(kTuples);
-  for (uint32_t g = 0; g < kTuples; ++g) {
-    const uint32_t h1 = g % kWorkers;
-    const uint32_t h2 = (g / kWorkers) % kWorkers;
-    if (h1 == h2) {
-      hosts[g] = {h1};
-    } else {
-      hosts[g] = {std::min(h1, h2), std::max(h1, h2)};
-    }
-  }
-  // Mostly ML facts (pure routing work, no class growth) plus id facts
-  // confined to disjoint {2k, 2k+1} pairs, so the router is measured on
-  // volume, not on equivalence-class expansion.
-  std::vector<std::vector<Fact>> outboxes(kWorkers);
-  Rng rng(13);
-  for (int w = 0; w < kWorkers; ++w) {
-    outboxes[w].reserve(kFactsPerWorker);
-    for (size_t i = 0; i < kFactsPerWorker; ++i) {
-      if (i % 4 == 3) {
-        const uint32_t a =
-            static_cast<uint32_t>(rng.Uniform(kTuples / 2)) * 2;
-        outboxes[w].push_back(Fact::IdMatch(a, a + 1));
-      } else {
-        uint32_t a = static_cast<uint32_t>(rng.Uniform(kTuples));
-        uint32_t b = static_cast<uint32_t>(rng.Uniform(kTuples));
-        if (a == b) b = (b + 1) % kTuples;
-        outboxes[w].push_back(Fact::MlValidated(
-            static_cast<int32_t>(i % 3), a, rng.Next(), b, rng.Next()));
-      }
-    }
-  }
-
-  RoutingNumbers out;
-  auto run = [&](ThreadPool* pool, std::vector<std::vector<Fact>>* inboxes) {
-    double best = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-      Master::Options mo;
-      mo.pool = pool;
-      Master master(&hosts, kWorkers, kTuples, mo);
-      for (int w = 0; w < kWorkers; ++w) master.Collect(w, outboxes[w]);
-      Timer t;
-      master.Dispatch(inboxes);
-      const double secs = t.ElapsedSeconds();
-      if (rep == 0 || secs < best) {
-        best = secs;
-        if (pool != nullptr) {
-          out.pooled_shard_sum = master.route_shard_sum_seconds();
-          out.pooled_shard_max = master.route_shard_max_seconds();
-          out.messages = master.messages_routed();
-          out.bytes = master.bytes_routed();
-        }
-      }
-    }
-    return best;
-  };
-
-  std::vector<std::vector<Fact>> serial_inboxes;
-  std::vector<std::vector<Fact>> pooled_inboxes;
-  out.serial_seconds = run(nullptr, &serial_inboxes);
-  out.pooled_seconds = run(&ThreadPool::Global(), &pooled_inboxes);
-  out.inboxes_equal = serial_inboxes.size() == pooled_inboxes.size();
-  for (size_t d = 0; out.inboxes_equal && d < serial_inboxes.size(); ++d) {
-    out.inboxes_equal = serial_inboxes[d].size() == pooled_inboxes[d].size();
-    for (size_t i = 0; out.inboxes_equal && i < serial_inboxes[d].size();
-         ++i) {
-      out.inboxes_equal =
-          wire::SameFact(serial_inboxes[d][i], pooled_inboxes[d][i]);
-    }
-  }
-  return out;
-}
-
-// Class-merge-heavy workload for the propagation policy: chains first build
-// blocks of 16 equivalent tuples, then tournament rounds merge ever-larger
-// blocks — the regime where a |Ca| × |Cb| cross product would explode and
-// the |Ca| + |Cb| spanning pairs stay linear.
-struct SpanningNumbers {
-  uint64_t spanning_messages = 0;
-  uint64_t spanning_bytes = 0;
-};
-
-SpanningNumbers MeasureSpanning() {
-  constexpr int kWorkers = 4;
-  constexpr uint32_t kTuples = 1024;
-  std::vector<std::vector<uint32_t>> hosts(kTuples);
-  for (uint32_t g = 0; g < kTuples; ++g) hosts[g] = {g % kWorkers};
-  std::vector<Fact> facts;
-  for (uint32_t g = 0; g + 1 < kTuples; ++g) {
-    if (g % 16 != 15) facts.push_back(Fact::IdMatch(g, g + 1));
-  }
-  for (uint32_t size = 16; size < kTuples; size *= 2) {
-    for (uint32_t g = 0; g + size < kTuples; g += 2 * size) {
-      facts.push_back(Fact::IdMatch(g, g + size));
-    }
-  }
-  Master master(&hosts, kWorkers, kTuples);
-  master.Collect(0, facts);
-  std::vector<std::vector<Fact>> inboxes;
-  master.Dispatch(&inboxes);
-  return {master.messages_routed(), master.bytes_routed()};
-}
-
-// --- delta-driven incremental pass -----------------------------------------
-
-// Tournament-merge cascade at the engine level (the cap=0 protocol): with
-// dependency_capacity = 0 the full pass records nothing in H, the leaf
-// matches arrive as external facts, and IncDeduce must recover every
-// internal valuation through seeded re-joins — `levels` semi-naive rounds
-// with the frontier halving each round. |Δ| is set by `leaf_limit`, so the
-// full-vs-half pair quantifies |Δ|-proportionality: seconds-per-leaf should
-// be flat, never proportional to the dataset.
-struct IncCascadeRun {
-  double seconds = 0;  // best-of-3 IncDeduce wall clock
-  uint64_t seeded_joins = 0;
-  uint64_t rounds = 0;
-  uint64_t frontier_items = 0;
-  uint64_t dedup_hits = 0;
-  uint64_t matched_pairs = 0;
-  size_t leaves = 0;
-  // Chunk-enumeration time of the batched pass: serial-equivalent total and
-  // the per-round critical path (one core per chunk) — the simulated
-  // inc-phase speedup on hosts without the cores to measure a wall one.
-  double task_seconds_sum = 0;
-  double round_max_sum = 0;
-  std::vector<std::pair<Gid, Gid>> pairs;  // Γ's id half, for identity checks
-};
-
-IncCascadeRun RunIncCascade(int levels, size_t leaf_limit, int threads) {
-  IncCascadeRun out;
-  for (int rep = 0; rep < 3; ++rep) {
-    // Fresh workload per rep: the protocol consumes the engine (H and Γ are
-    // not resettable mid-run). MakeTournament is deterministic, so gids
-    // align across reps and across option settings.
-    auto w = MakeTournament(levels, /*with_ml=*/false);
-    DatasetView view = DatasetView::Full(w->dataset);
-    MatchContext ctx(w->dataset);
-    EngineOptions eo;
-    eo.dependency_capacity = 0;
-    eo.threads = threads;
-    ChaseEngine::Options o =
-        ChaseEngine::FromEngineOptions(eo, &ThreadPool::Global());
-    ChaseEngine engine(&view, &w->up_rules, &w->registry, &ctx, o);
-    Delta d0;
-    engine.Deduce(&d0);  // finds nothing: the up rule needs child matches
-    std::vector<Fact> facts = TournamentLeafFacts(*w, leaf_limit);
-    Delta seeds;
-    engine.ApplyExternalFacts(facts, &seeds);
-    const ChaseStats before = engine.stats();
-    Timer t;
-    Delta cascade;
-    engine.IncDeduce(seeds, &cascade);
-    const double secs = t.ElapsedSeconds();
-    if (rep == 0 || secs < out.seconds) out.seconds = secs;
-    if (rep == 2) {
-      const ChaseStats& after = engine.stats();
-      out.seeded_joins = after.seeded_joins - before.seeded_joins;
-      out.rounds = after.inc_rounds - before.inc_rounds;
-      out.frontier_items = after.inc_frontier_items - before.inc_frontier_items;
-      out.dedup_hits = after.inc_dedup_hits - before.inc_dedup_hits;
-      out.matched_pairs = ctx.num_matched_pairs();
-      out.leaves = facts.size();
-      out.task_seconds_sum = engine.inc_task_seconds_sum();
-      out.round_max_sum = engine.inc_round_max_seconds_sum();
-      out.pairs = ctx.MatchedPairs();
-    }
-  }
-  return out;
-}
-
-// Update stream: a Resolver absorbs micro-batches of appended ecommerce
-// tuples (NotifyAppend + DeduceForNewTuples + IncDeduce under the facade);
-// per-batch Append latency is the maintenance cost the Sec. V-A Remark
-// targets. With the default H capacity nothing is ever dropped, so the
-// cascade inside each batch rides the no-drop fast path.
-struct UpdateStreamNumbers {
-  double init_seconds = 0;
-  std::vector<double> batch_seconds;
-  std::vector<uint64_t> batch_rounds;
-  std::vector<uint64_t> batch_seeded_joins;
-  double total_batch_seconds = 0;
-  double max_batch_seconds = 0;
-  uint64_t matched_pairs = 0;
-  bool equals_scratch = false;  // Γ == from-scratch Match over the grown data
-};
-
-UpdateStreamNumbers MeasureUpdateStream() {
-  UpdateStreamNumbers out;
-  EcommerceOptions options;
-  options.num_customers = 400;
-  auto gd = MakeEcommerce(options);
-  // Re-grow the generated dataset: everything but the last kHeldBack tuples
-  // up front, then the tail as kBatchSize-tuple micro-batches.
-  Dataset dst;
-  for (size_t r = 0; r < gd->dataset.num_relations(); ++r) {
-    dst.AddRelation(gd->dataset.relation(r).schema());
-  }
-  RuleSet rules;
-  Status st =
-      ParseRuleSet(gd->rules.ToString(gd->dataset), dst, gd->registry, &rules);
-  if (!st.ok()) {
-    std::printf("update stream rules failed to parse: %s\n",
-                std::string(st.message()).c_str());
-    return out;
-  }
-  constexpr size_t kHeldBack = 64;
-  constexpr size_t kBatchSize = 8;
-  const size_t cut = gd->dataset.num_tuples() - kHeldBack;
-  for (Gid g = 0; g < cut; ++g) {
-    TupleLoc loc = gd->dataset.loc(g);
-    dst.AppendTuple(loc.relation,
-                    gd->dataset.relation(loc.relation).row(loc.row));
-  }
-
-  Timer init_timer;
-  auto resolver = Resolver::Open(std::move(dst), rules, &gd->registry);
-  out.init_seconds = init_timer.ElapsedSeconds();
-
-  TupleBatch batch;
-  for (Gid g = static_cast<Gid>(cut); g < gd->dataset.num_tuples(); ++g) {
-    TupleLoc loc = gd->dataset.loc(g);
-    batch.Add(loc.relation,
-              gd->dataset.relation(loc.relation).row(loc.row));
-    if (batch.size() == kBatchSize || g + 1 == gd->dataset.num_tuples()) {
-      Timer t;
-      AppendOutcome o = resolver->Append(std::move(batch));
-      const double secs = t.ElapsedSeconds();
-      out.batch_seconds.push_back(secs);
-      out.batch_rounds.push_back(static_cast<uint64_t>(o.report.rounds));
-      out.batch_seeded_joins.push_back(o.report.chase.seeded_joins);
-      out.total_batch_seconds += secs;
-      out.max_batch_seconds = std::max(out.max_batch_seconds, secs);
-      batch = TupleBatch{};
-    }
-  }
-  auto snapshot = resolver->Snapshot();
-  out.matched_pairs = snapshot->num_matched_pairs();
-
-  gd->registry.ClearCache();
-  MatchContext scratch(resolver->dataset());
-  engine::Match(DatasetView::Full(resolver->dataset()), rules, gd->registry, {},
-        &scratch);
-  out.equals_scratch =
-      snapshot->MatchedPairs() == scratch.MatchedPairs() &&
-      snapshot->ValidatedMlKeys() == scratch.ValidatedMlKeys();
-  return out;
-}
-
-// --- dcerd service bench ---------------------------------------------------
-
-// The daemon end to end over loopback TCP: the same re-grown ecommerce
-// stream, but appended through APPEND frames while a client fires
-// RESOLVE/SAME point queries between batches (and a pure query burst at the
-// end). served_query_p50/p99 are client-observed round-trip latencies;
-// update_visibility_lag is the daemon-measured arrival→snapshot-publish lag
-// per append request. Both feed bench/check_regression gates.
-struct ServiceNumbers {
-  bool ok = false;
-  uint64_t appends = 0;
-  size_t queries = 0;
-  double p50_seconds = 0;
-  double p99_seconds = 0;
-  double max_seconds = 0;
-  double mean_lag_seconds = 0;
-  double max_lag_seconds = 0;
-  uint64_t final_snapshot_version = 0;
-  uint64_t served_matched_pairs = 0;
-  // Every post-ack query saw a snapshot at least as new as the ack's — the
-  // ack-implies-visibility contract.
-  bool ack_implies_visible = true;
-};
-
-ServiceNumbers MeasureService() {
-  ServiceNumbers out;
-  EcommerceOptions options;
-  options.num_customers = 400;
-  auto gd = MakeEcommerce(options);
-  Dataset dst;
-  for (size_t r = 0; r < gd->dataset.num_relations(); ++r) {
-    dst.AddRelation(gd->dataset.relation(r).schema());
-  }
-  RuleSet rules;
-  Status st =
-      ParseRuleSet(gd->rules.ToString(gd->dataset), dst, gd->registry, &rules);
-  if (!st.ok()) {
-    std::printf("service rules failed to parse: %s\n",
-                std::string(st.message()).c_str());
-    return out;
-  }
-  constexpr size_t kHeldBack = 64;
-  constexpr size_t kBatchSize = 8;
-  const size_t total = gd->dataset.num_tuples();
-  const size_t cut = total - kHeldBack;
-  for (Gid g = 0; g < cut; ++g) {
-    TupleLoc loc = gd->dataset.loc(g);
-    dst.AppendTuple(loc.relation,
-                    gd->dataset.relation(loc.relation).row(loc.row));
-  }
-
-  service::ResolverDaemon daemon(
-      Resolver::Open(std::move(dst), rules, &gd->registry));
-  if (Status s = daemon.Start(); !s.ok()) {
-    std::printf("dcerd start failed: %s\n", s.ToString().c_str());
-    return out;
-  }
-  service::ResolverClient client;
-  if (Status s = client.Connect(daemon.port()); !s.ok()) {
-    std::printf("dcerd connect failed: %s\n", s.ToString().c_str());
-    return out;
-  }
-
-  Rng rng(17);
-  std::vector<double> latencies;
-  uint64_t last_ack_version = 0;
-  out.ok = true;
-  auto run_queries = [&](int count) {
-    for (int q = 0; q < count && out.ok; ++q) {
-      service::Response qr;
-      Timer t;
-      Status s = q % 2 == 0
-                     ? client.Resolve(static_cast<Gid>(rng.Uniform(total)), &qr)
-                     : client.SameEntity(static_cast<Gid>(rng.Uniform(total)),
-                                         static_cast<Gid>(rng.Uniform(total)),
-                                         &qr);
-      latencies.push_back(t.ElapsedSeconds());
-      if (!s.ok()) {
-        std::printf("dcerd query failed: %s\n", s.ToString().c_str());
-        out.ok = false;
-      }
-      if (qr.snapshot_version < last_ack_version) {
-        out.ack_implies_visible = false;
-      }
-    }
-  };
-
-  std::vector<std::pair<uint32_t, Row>> rows;
-  for (Gid g = static_cast<Gid>(cut); g < total && out.ok; ++g) {
-    TupleLoc loc = gd->dataset.loc(g);
-    rows.emplace_back(loc.relation,
-                      gd->dataset.relation(loc.relation).row(loc.row));
-    if (rows.size() == kBatchSize || g + 1 == total) {
-      service::Response resp;
-      // Schemas are shared with the generator's dataset, so the request is
-      // built against it — the daemon's copy is busy growing.
-      if (Status s = client.Append(gd->dataset, rows, &resp); !s.ok()) {
-        std::printf("dcerd append failed: %s\n", s.ToString().c_str());
-        out.ok = false;
-        break;
-      }
-      ++out.appends;
-      last_ack_version = resp.snapshot_version;
-      rows.clear();
-      run_queries(32);
-    }
-  }
-  run_queries(512);
-
-  service::Response stats_resp;
-  if (client.Stats(&stats_resp).ok()) {
-    out.final_snapshot_version = stats_resp.snapshot_version;
-  }
-  out.served_matched_pairs = daemon.resolver().Snapshot()->num_matched_pairs();
-  service::DaemonStats ds = daemon.stats();
-  out.mean_lag_seconds =
-      ds.visibility_lag_samples > 0
-          ? ds.total_visibility_lag_seconds / ds.visibility_lag_samples
-          : 0.0;
-  out.max_lag_seconds = ds.max_visibility_lag_seconds;
-
-  std::sort(latencies.begin(), latencies.end());
-  out.queries = latencies.size();
-  if (!latencies.empty()) {
-    out.p50_seconds = latencies[latencies.size() / 2];
-    out.p99_seconds =
-        latencies[std::min(latencies.size() - 1, latencies.size() * 99 / 100)];
-    out.max_seconds = latencies.back();
-  }
-  client.Close();
-  daemon.Stop();
-  return out;
-}
-
-double MlCacheHitNs() {
-  PredictionCache cache;
-  Rng rng(11);
-  std::vector<uint64_t> keys(1024);
-  for (auto& k : keys) {
-    k = rng.Next();
-    cache.Insert(k, (k & 2) != 0);
-  }
-  constexpr int kReps = 2'000'000;
-  int sink = 0;
-  Timer timer;
-  for (int i = 0; i < kReps; ++i) sink += cache.Lookup(keys[i & 1023]);
-  double ns = timer.ElapsedSeconds() * 1e9 / kReps;
-  if (sink == -kReps) std::printf("unreachable\n");  // keep the loop live
-  return ns;
-}
-
-// Observability overhead, measured interleaved: alternating obs-off /
-// obs-on runs of the same pooled DMatch inside one loop, best-of-3 per
-// side. Since the telemetry plane landed the "on" side enables the full
-// production configuration — metrics *and* trace spans — so the ratio gates
-// what a live dcerd actually pays. The previous separated measurement
-// (plain block first, metrics block minutes later) could read ratios below
-// 1.0 because the later block ran on a warmer process image — allocator
-// arenas, ML caches' backing pages, branch predictors all trained by
-// everything in between. Interleaving makes that drift hit both sides
-// equally; collection cannot make the run faster, so the reported ratio is
-// clamped at 1.0 and the raw quotient is kept alongside as the noise floor
-// indicator.
-struct ObsOverheadNumbers {
-  double off_seconds = 0;  // best-of-3, metrics + tracing disabled
-  double on_seconds = 0;   // best-of-3, metrics + tracing enabled
-  double ratio_raw = 0;    // on/off exactly as measured
-  double ratio = 0;        // max(ratio_raw, 1.0)
-};
-
-ObsOverheadNumbers MeasureObsOverhead(GenDataset& gd) {
-  ObsOverheadNumbers out;
-  const bool metrics_were_enabled = obs::MetricsEnabled();
-  const bool trace_was_enabled = obs::TraceEnabled();
-  for (int rep = 0; rep < 3; ++rep) {
-    for (int on = 0; on < 2; ++on) {
-      obs::SetMetricsEnabled(on == 1);
-      obs::SetTraceEnabled(on == 1);
-      gd.registry.ClearCache();
-      gd.registry.ResetStats();
-      auto ctx = std::make_unique<MatchContext>(gd.dataset);
-      DMatchOptions options;
-      options.num_workers = 4;
-      options.run_parallel = true;
-      options.threads = 2;
-      DMatchReport r =
-          engine::DMatch(gd.dataset, gd.rules, gd.registry, options, ctx.get());
-      double& best = on == 1 ? out.on_seconds : out.off_seconds;
-      if (rep == 0 || r.er_seconds < best) best = r.er_seconds;
-      // Spans accumulate in memory until flushed; drop them between reps so
-      // the on-side never pays growing-buffer costs the off side cannot.
-      if (on == 1) obs::ClearTrace();
-    }
-  }
-  obs::SetMetricsEnabled(metrics_were_enabled);
-  obs::SetTraceEnabled(trace_was_enabled);
-  out.ratio_raw = out.off_seconds > 0 ? out.on_seconds / out.off_seconds : 0.0;
-  out.ratio = std::max(out.ratio_raw, 1.0);
-  return out;
-}
-
-// --- Columnar storage numbers (TPC-H dbgen-lite SF 1) ----------------------
-//
-// What the columnar refactor buys, measured on the scale-factor generator's
-// SF 1 instance (~45k tuples): raw column-slice scan vs per-row Value
-// materialization, equality-index build keyed on interned codes (the
-// DatasetIndex path) vs on content-hashed Values (the pre-refactor row-wise
-// build), similarity kernels fed arena string_views vs per-call string
-// copies, and the interning pool's hit rate and footprint. This host has one
-// core, so the absolute times are per-core numbers; the ratios are pure
-// layout effects. EXPERIMENTS.md extrapolates them across SF 1-10.
-struct ColumnarNumbers {
-  double gen_seconds = 0;
-  uint64_t tuples = 0;
-  uint64_t grow_events = 0;  // column reallocations during generation
-  double scan_columnar_ns = 0;
-  double scan_rowwise_ns = 0;
-  double index_build_columnar_seconds = 0;
-  double index_build_rowwise_seconds = 0;
-  uint64_t index_keys = 0;
-  bool index_entries_equal = false;
-  double kernel_view_ns = 0;
-  double kernel_copy_ns = 0;
-  double intern_hit_rate = 0;
-  uint64_t intern_requests = 0;
-  uint64_t intern_strings = 0;
-  uint64_t intern_arena_bytes = 0;
-  uint64_t intern_requested_bytes = 0;
-  double intern_footprint_ratio = 0;  // arena / requested (dedup win)
-};
-
-ColumnarNumbers MeasureColumnar() {
-  ColumnarNumbers out;
-  TpchOptions options;
-  options.scale_factor = 1.0;
-  Timer gen_timer;
-  auto gd = MakeTpch(options);
-  out.gen_seconds = gen_timer.ElapsedSeconds();
-  const Dataset& d = gd->dataset;
-  out.tuples = d.num_tuples();
-  for (size_t r = 0; r < d.num_relations(); ++r) {
-    out.grow_events += d.relation(r).grow_events();
-  }
-
-  const StringPool& pool = d.pool();
-  out.intern_requests = pool.num_requests();
-  out.intern_hit_rate =
-      pool.num_requests() > 0
-          ? static_cast<double>(pool.num_hits()) / pool.num_requests()
-          : 0.0;
-  out.intern_strings = pool.size();
-  out.intern_arena_bytes = pool.arena_bytes();
-  out.intern_requested_bytes = pool.requested_bytes();
-  out.intern_footprint_ratio =
-      pool.requested_bytes() > 0
-          ? static_cast<double>(pool.arena_bytes()) / pool.requested_bytes()
-          : 0.0;
-
-  const Relation* orders = nullptr;
-  const Relation* customer = nullptr;
-  for (size_t r = 0; r < d.num_relations(); ++r) {
-    const std::string& name = d.relation(r).schema().name();
-    if (name == "Orders") orders = &d.relation(r);
-    if (name == "Customer") customer = &d.relation(r);
-  }
-  constexpr size_t kPriceAttr = 4;  // Orders.totalprice (kInt)
-  constexpr size_t kCustAttr = 1;   // Orders.custkey (kString join key)
-  constexpr size_t kNameAttr = 1;   // Customer.cname
-
-  {
-    // Sum Orders.totalprice: the raw int64 slice vs at()'s Value round-trip.
-    const Column& col = orders->column(kPriceAttr);
-    const std::vector<int64_t>& ints = col.ints();
-    const size_t n = orders->num_rows();
-    constexpr int kScanReps = 200;
-    int64_t sink = 0;
-    Timer t;
-    for (int rep = 0; rep < kScanReps; ++rep) {
-      int64_t sum = 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (!col.is_null(i)) sum += ints[i];
-      }
-      sink += sum;
-    }
-    out.scan_columnar_ns =
-        t.ElapsedSeconds() * 1e9 / (kScanReps * static_cast<double>(n));
-    int64_t sink2 = 0;
-    Timer t2;
-    for (int rep = 0; rep < kScanReps; ++rep) {
-      int64_t sum = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const Value v = orders->at(i, kPriceAttr);
-        if (!v.is_null()) sum += v.AsInt();
-      }
-      sink2 += sum;
-    }
-    out.scan_rowwise_ns =
-        t2.ElapsedSeconds() * 1e9 / (kScanReps * static_cast<double>(n));
-    if (sink != sink2) std::printf("columnar scan mismatch\n");
-  }
-
-  {
-    // Equality index on Orders.custkey. Columnar build: 32-bit intern ids as
-    // 64-bit codes, CodeHash, id==id compares. Row-wise build: materialized
-    // Values hashed and compared by string content — the pre-refactor cost.
-    const size_t n = orders->num_rows();
-    constexpr int kBuildReps = 20;
-    std::unordered_map<uint64_t, std::vector<uint32_t>, CodeHash> code_index;
-    Timer t;
-    for (int rep = 0; rep < kBuildReps; ++rep) {
-      code_index.clear();
-      for (size_t i = 0; i < n; ++i) {
-        if (!orders->is_null(i, kCustAttr)) {
-          code_index[orders->code_at(i, kCustAttr)].push_back(
-              static_cast<uint32_t>(i));
-        }
-      }
-    }
-    out.index_build_columnar_seconds = t.ElapsedSeconds() / kBuildReps;
-    std::unordered_map<Value, std::vector<uint32_t>, ValueHash> value_index;
-    Timer t2;
-    for (int rep = 0; rep < kBuildReps; ++rep) {
-      value_index.clear();
-      for (size_t i = 0; i < n; ++i) {
-        const Value v = orders->at(i, kCustAttr);
-        if (!v.is_null()) {
-          value_index[v].push_back(static_cast<uint32_t>(i));
-        }
-      }
-    }
-    out.index_build_rowwise_seconds = t2.ElapsedSeconds() / kBuildReps;
-    out.index_keys = code_index.size();
-    out.index_entries_equal = code_index.size() == value_index.size();
-  }
-
-  {
-    // EditSimilarity over Customer.cname pairs: zero-copy arena views (the
-    // post-refactor kernel path) vs a per-call owned-string copy of both
-    // sides (what the old Row storage forced on every probe).
-    const size_t n = customer->num_rows();
-    auto name_at = [&](size_t r) {
-      return customer->is_null(r, kNameAttr)
-                 ? std::string_view()
-                 : customer->string_at(r, kNameAttr);
-    };
-    constexpr int kReps = 50'000;
-    double sink = 0;
-    Timer t;
-    for (int i = 0; i < kReps; ++i) {
-      sink += EditSimilarity(name_at(i % n), name_at((i + 7) % n));
-    }
-    out.kernel_view_ns = t.ElapsedSeconds() * 1e9 / kReps;
-    double sink2 = 0;
-    Timer t2;
-    for (int i = 0; i < kReps; ++i) {
-      const std::string a(name_at(i % n));
-      const std::string b(name_at((i + 7) % n));
-      sink2 += EditSimilarity(a, b);
-    }
-    out.kernel_copy_ns = t2.ElapsedSeconds() * 1e9 / kReps;
-    if (sink != sink2) std::printf("kernel view/copy mismatch\n");
-  }
-  return out;
-}
-
-void WriteBenchCoreJson() {
-  EcommerceOptions options;
-  options.num_customers = 800;
-  auto gd = MakeEcommerce(options);
-
-  std::unique_ptr<MatchContext> seq_ctx;
-  std::unique_ptr<MatchContext> pooled_ctx;
-  // Seed sequential path: workers executed one after another, chase
-  // single-threaded. Pooled path: workers as pool tasks, each splitting its
-  // join enumeration over threads=2.
-  DMatchReport pooled_report;
-  double seq = BestOf3DMatchWall(*gd, /*run_parallel=*/false,
-                                 /*threads=*/1, &seq_ctx);
-  double pooled = BestOf3DMatchWall(*gd, /*run_parallel=*/true,
-                                    /*threads=*/2, &pooled_ctx,
-                                    &pooled_report);
-  bool pairs_equal =
-      seq_ctx->MatchedPairs() == pooled_ctx->MatchedPairs() &&
-      seq_ctx->ValidatedMlKeys() == pooled_ctx->ValidatedMlKeys();
-
-  // DMatch-level routed volume with sequentially simulated workers.
-  DMatchReport span_report;
-  {
-    gd->registry.ClearCache();
-    gd->registry.ResetStats();
-    MatchContext ctx(gd->dataset);
-    DMatchOptions o;
-    o.num_workers = 4;
-    o.run_parallel = false;
-    span_report = engine::DMatch(gd->dataset, gd->rules, gd->registry, o, &ctx);
-  }
-
-  RoutingNumbers routing = MeasureRouting();
-  SpanningNumbers spanning = MeasureSpanning();
-
-  // Delta-driven pass: |Δ|-scaling on the tournament cascade (full vs half
-  // leaf set), the inline (threads=1) identity, and the update stream.
-  IncCascadeRun inc_full = RunIncCascade(10, size_t(-1), /*threads=*/2);
-  IncCascadeRun inc_half = RunIncCascade(10, 512, /*threads=*/2);
-  IncCascadeRun inc_seq = RunIncCascade(10, size_t(-1), /*threads=*/1);
-  const bool inc_pairs_equal = inc_full.pairs == inc_seq.pairs;
-  UpdateStreamNumbers stream = MeasureUpdateStream();
-  ServiceNumbers service = MeasureService();
-
-  // Overhead of turning metric collection on for the same workload; with
-  // metrics off collection is one predicted branch, so the on/off ratio
-  // bounds what DCER_METRICS=1 costs. Measured interleaved (see
-  // MeasureObsOverhead) so warm-up drift cannot push the ratio below 1.
-  ObsOverheadNumbers obs_overhead = MeasureObsOverhead(*gd);
-
-  double hit_ns = MlCacheHitNs();
-  KernelNs kernels = MeasureKernelNs();
-  BatchKernelNumbers batch = MeasureBatchKernels();
-  MlWorkloadNumbers ml = MeasureMlWorkload();
-  ColumnarNumbers columnar = MeasureColumnar();
-
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int pool_threads = ThreadPool::Global().num_threads();
-  const double pool_speedup = pooled > 0 ? seq / pooled : 0.0;
-  // On a host with fewer cores than the pool's task demand, "pooled" time
-  // includes scheduling overhead with no parallel hardware to amortize it.
-  // A speedup below 1 there is a measurement artifact of oversubscription,
-  // not an executor regression; record that so readers (and the regression
-  // check) don't misread the number.
-  const bool pool_oversubscribed =
-      pool_speedup < 1.0 && hw < static_cast<unsigned>(2 * pool_threads);
-
-  JsonWriter w;
-  w.BeginObject();
-  w.KV("workload",
-       "ecommerce num_customers=" + std::to_string(options.num_customers));
-  w.KV("hardware_concurrency", hw);
-  w.KV("pool_threads", pool_threads);
-  w.KV("workers", 4);
-  w.KV("threads", 2);
-  w.KV("dmatch_seq_wall_seconds", seq);
-  w.KV("dmatch_pooled_wall_seconds", pooled);
-  w.KV("speedup", pool_speedup);
-  if (pool_oversubscribed) {
-    w.KV("speedup_warning",
-         "pooled < sequential on this host: " + std::to_string(hw) +
-             " hardware thread(s) cannot run the pool's tasks in parallel, "
-             "so the gap is scheduling overhead (oversubscription artifact), "
-             "not a regression");
-  }
-  // Same workload timed at the pre-thread-pool commit, measured out-of-band
-  // (a checkout of the previous HEAD can't run inside this binary). Lets the
-  // JSON carry the cross-commit speedup this PR claims.
-  if (const char* env = std::getenv("DCER_SEED_SEQ_SECONDS")) {
-    double seed_seq = std::atof(env);
-    if (seed_seq > 0) {
-      w.KV("seed_seq_wall_seconds", seed_seq);
-      w.KV("speedup_vs_seed", pooled > 0 ? seed_seq / pooled : 0.0);
-    }
-  }
-  // Per-phase BSP times of the best pooled run: the partial evaluation
-  // (superstep 0) and the incremental supersteps, regression-checked
-  // independently by bench/check_regression.
-  if (!pooled_report.superstep_stats.empty()) {
-    w.KV("dmatch_partial_eval_seconds",
-         pooled_report.superstep_stats[0].max_seconds);
-    w.KV("dmatch_superstep_seconds", IncrementalStepSeconds(pooled_report));
-    w.Key("dmatch_supersteps").BeginArray();
-    for (const SuperstepStats& s : pooled_report.superstep_stats) {
-      w.BeginObject();
-      w.KV("step", s.step);
-      w.KV("max_seconds", s.max_seconds);
-      w.KV("mean_seconds", s.mean_seconds);
-      w.KV("skew", s.skew);
-      w.KV("messages", s.messages);
-      w.KV("bytes", s.bytes);
-      w.KV("outbox_messages", s.outbox_messages);
-      w.KV("outbox_bytes", s.outbox_bytes);
-      w.Key("worker_seconds").BeginArray();
-      for (double t : s.worker_seconds) w.Value(t);
-      w.EndArray();
-      w.EndObject();
-    }
-    w.EndArray();
-  }
-  // Wire volume of the best pooled run — serialized bytes straight from the
-  // codec (the regression gate in bench/check_regression keys on
-  // dmatch_wire_bytes).
-  w.KV("dmatch_wire_messages", pooled_report.messages);
-  w.KV("dmatch_wire_bytes", pooled_report.bytes);
-  w.KV("dmatch_outbox_messages", pooled_report.outbox_messages);
-  w.KV("dmatch_outbox_bytes", pooled_report.outbox_bytes);
-  w.KV("dmatch_route_seconds", pooled_report.route_seconds);
-  // Router alone on the exchange-heavy synthetic workload: serial vs pooled
-  // wall clock, plus the shard-time speedup (sum/max over destination
-  // shards) that models one core per shard — the honest number on hosts
-  // with fewer cores than shards.
-  w.KV("route_serial_seconds", routing.serial_seconds);
-  w.KV("route_pooled_seconds", routing.pooled_seconds);
-  const double route_speedup = routing.pooled_seconds > 0
-                                   ? routing.serial_seconds /
-                                         routing.pooled_seconds
-                                   : 0.0;
-  const double route_speedup_simulated =
-      routing.pooled_shard_max > 0
-          ? routing.pooled_shard_sum / routing.pooled_shard_max
-          : 0.0;
-  w.KV("route_speedup", route_speedup);
-  w.KV("route_speedup_simulated", route_speedup_simulated);
-  if (route_speedup < 1.5 && hw < 4) {
-    w.KV("route_speedup_warning",
-         "pooled routing cannot beat serial on this host: " +
-             std::to_string(hw) +
-             " hardware thread(s) for 4 destination shards, so the wall "
-             "gap is oversubscription artifact; route_speedup_simulated "
-             "is the per-shard-core number");
-  }
-  w.KV("route_messages", routing.messages);
-  w.KV("route_bytes", routing.bytes);
-  w.KV("route_inboxes_equal", routing.inboxes_equal);
-  // Propagation policy: master-level message/byte volume on the
-  // class-merge-heavy tournament workload and the DMatch-level volume.
-  w.KV("route_messages_spanning", spanning.spanning_messages);
-  w.KV("route_bytes_spanning", spanning.spanning_bytes);
-  w.KV("dmatch_messages_spanning", span_report.messages);
-  // Delta-driven incremental pass (the batched semi-naive IncDeduce).
-  // Tournament cascade, cap=0 protocol: per-leaf time at |Δ| = 1024 vs 512
-  // leaves is the |Δ|-scaling evidence bench/check_regression gates on.
-  w.KV("inc_workload",
-       "tournament levels=10, dependency_capacity=0, up-rule protocol "
-       "(leaf matches as external facts)");
-  w.KV("inc_full_leaves", static_cast<uint64_t>(inc_full.leaves));
-  w.KV("inc_full_seconds", inc_full.seconds);
-  w.KV("inc_full_seeded_joins", inc_full.seeded_joins);
-  w.KV("inc_full_rounds", inc_full.rounds);
-  w.KV("inc_full_frontier_items", inc_full.frontier_items);
-  w.KV("inc_full_dedup_hits", inc_full.dedup_hits);
-  w.KV("inc_full_matched_pairs", inc_full.matched_pairs);
-  w.KV("inc_half_leaves", static_cast<uint64_t>(inc_half.leaves));
-  w.KV("inc_half_seconds", inc_half.seconds);
-  w.KV("inc_half_seeded_joins", inc_half.seeded_joins);
-  w.KV("inc_half_rounds", inc_half.rounds);
-  w.KV("inc_half_matched_pairs", inc_half.matched_pairs);
-  const double inc_full_per_leaf =
-      inc_full.leaves > 0 ? inc_full.seconds / inc_full.leaves : 0.0;
-  const double inc_half_per_leaf =
-      inc_half.leaves > 0 ? inc_half.seconds / inc_half.leaves : 0.0;
-  w.KV("inc_full_secs_per_leaf", inc_full_per_leaf);
-  w.KV("inc_half_secs_per_leaf", inc_half_per_leaf);
-  // ~1.0 when the pass scales with |Δ|; >> 1 would mean per-superstep cost
-  // proportional to the dataset rather than the delta.
-  w.KV("inc_delta_scaling_ratio",
-       inc_half_per_leaf > 0 ? inc_full_per_leaf / inc_half_per_leaf : 0.0);
-  // The threads=1 run (every round inline) on the same full-|Δ| cascade;
-  // Γ must be bit-identical.
-  w.KV("inc_seq_seconds", inc_seq.seconds);
-  w.KV("inc_seq_seeded_joins", inc_seq.seeded_joins);
-  w.KV("inc_pairs_equal", inc_pairs_equal);
-  // Simulated inc-phase speedup of the batched pass: serial-equivalent chunk
-  // work over the per-round critical path (one core per chunk) — the honest
-  // number on hosts without enough cores for a wall-clock speedup.
-  w.KV("inc_task_seconds_sum", inc_full.task_seconds_sum);
-  w.KV("inc_round_max_seconds_sum", inc_full.round_max_sum);
-  const double inc_speedup_simulated =
-      inc_full.round_max_sum > 0
-          ? inc_full.task_seconds_sum / inc_full.round_max_sum
-          : 0.0;
-  w.KV("inc_speedup_simulated", inc_speedup_simulated);
-  if (inc_full.seconds >= inc_seq.seconds && hw < 4) {
-    w.KV("inc_speedup_warning",
-         "batched pooled IncDeduce did not beat the threads=1 inline run on "
-         "this host: " + std::to_string(hw) +
-             " hardware thread(s) cannot run the round's chunks in "
-             "parallel, so the wall gap is oversubscription artifact; "
-             "inc_speedup_simulated is the per-chunk-core number");
-  }
-  // Update stream: per-batch maintenance latency of Resolver::Append over
-  // appended micro-batches (default H capacity → no-drop fast path).
-  w.KV("update_stream_workload",
-       "ecommerce num_customers=400, last 64 tuples replayed in batches "
-       "of 8");
-  w.KV("update_stream_init_seconds", stream.init_seconds);
-  w.KV("update_stream_batches",
-       static_cast<uint64_t>(stream.batch_seconds.size()));
-  w.Key("update_stream_batch_seconds").BeginArray();
-  for (double s : stream.batch_seconds) w.Value(s);
-  w.EndArray();
-  w.Key("update_stream_batch_rounds").BeginArray();
-  for (uint64_t r : stream.batch_rounds) w.Value(r);
-  w.EndArray();
-  w.Key("update_stream_batch_seeded_joins").BeginArray();
-  for (uint64_t s : stream.batch_seeded_joins) w.Value(s);
-  w.EndArray();
-  w.KV("update_stream_total_seconds", stream.total_batch_seconds);
-  w.KV("update_stream_max_batch_seconds", stream.max_batch_seconds);
-  w.KV("update_stream_mean_batch_seconds",
-       stream.batch_seconds.empty()
-           ? 0.0
-           : stream.total_batch_seconds / stream.batch_seconds.size());
-  w.KV("update_stream_matched_pairs", stream.matched_pairs);
-  w.KV("update_stream_equals_scratch", stream.equals_scratch);
-  // dcerd online service: client-observed query latency percentiles and the
-  // daemon's append-arrival→snapshot-publish lag, gated by check_regression
-  // (served_query_p99, update_visibility_lag).
-  w.KV("service_workload",
-       "dcerd over loopback TCP: ecommerce num_customers=400, last 64 "
-       "tuples in 8-tuple APPEND frames, 32 RESOLVE/SAME per batch + 512 "
-       "trailing queries");
-  w.KV("service_ok", service.ok);
-  w.KV("service_appends", service.appends);
-  w.KV("served_queries", static_cast<uint64_t>(service.queries));
-  w.KV("served_query_p50", service.p50_seconds);
-  w.KV("served_query_p99", service.p99_seconds);
-  w.KV("served_query_max_seconds", service.max_seconds);
-  w.KV("update_visibility_lag", service.mean_lag_seconds);
-  w.KV("update_visibility_lag_max", service.max_lag_seconds);
-  w.KV("service_snapshot_version", service.final_snapshot_version);
-  w.KV("service_matched_pairs", service.served_matched_pairs);
-  w.KV("service_ack_implies_visible", service.ack_implies_visible);
-  w.KV("dmatch_metrics_wall_seconds", obs_overhead.on_seconds);
-  w.KV("dmatch_nometrics_wall_seconds", obs_overhead.off_seconds);
-  w.KV("obs_overhead_ratio", obs_overhead.ratio);
-  w.KV("obs_overhead_ratio_raw", obs_overhead.ratio_raw);
-  w.KV("pairs_equal", pairs_equal);
-  w.KV("matched_pairs", seq_ctx->num_matched_pairs());
-  w.KV("ml_cache_hit_ns", hit_ns);
-  w.KV("token_jaccard_ns", kernels.token_jaccard_ns);
-  w.KV("edit_distance_bounded_ns", kernels.edit_distance_ns);
-  w.KV("edit_similarity_ns", kernels.edit_similarity_ns);
-  w.KV("cosine_ns", kernels.cosine_ns);
-  w.KV("ml_index_probe_ns", kernels.ml_probe_ns);
-  // Vectorized similarity engine: per-pair latency of the one-vs-many batch
-  // kernels over warm profiles (batch 256, same corpus/rotation as
-  // token_jaccard_ns), the cold profile-build cost, and bit-identity of the
-  // batched scores against the pairwise kernels.
-  w.KV("simd_level", batch.simd_level);
-  w.KV("profiles_build_seconds", batch.build_seconds);
-  w.KV("profiles_bytes", batch.profile_bytes);
-  w.KV("token_jaccard_batch_ns", batch.token_jaccard_batch_ns);
-  w.KV("token_jaccard_batch_speedup",
-       batch.token_jaccard_batch_ns > 0
-           ? kernels.token_jaccard_ns / batch.token_jaccard_batch_ns
-           : 0.0);
-  w.KV("ml_probe_batch_ns", batch.ml_probe_batch_ns);
-  w.KV("edit_predict_batch_ns", batch.edit_predict_batch_ns);
-  w.KV("batch_scores_equal", batch.batch_scores_equal);
-  w.KV("ml_workload",
-       "ml-only rules (jaccard 0.5 on Products.desc, edit 0.75 on "
-       "Customers.name), ecommerce num_customers=300");
-  w.KV("ml_workload_off_seconds", ml.off_seconds);
-  w.KV("ml_workload_on_seconds", ml.on_seconds);
-  w.KV("ml_workload_noprofiles_seconds", ml.noprofiles_seconds);
-  w.KV("ml_index_speedup",
-       ml.on_seconds > 0 ? ml.off_seconds / ml.on_seconds : 0.0);
-  w.KV("ml_profiles_speedup",
-       ml.on_seconds > 0 ? ml.noprofiles_seconds / ml.on_seconds : 0.0);
-  w.KV("ml_workload_pairs_equal", ml.pairs_equal);
-  w.KV("ml_workload_matched_pairs", ml.matched_pairs);
-  w.KV("ml_indices_built", ml.indices_built);
-  // Columnar storage / interning numbers at TPC-H SF 1 (single-core host:
-  // absolute times are per-core, ratios are layout effects; see the SF 1-10
-  // roofline table in EXPERIMENTS.md).
-  w.KV("columnar_workload",
-       "tpch scale_factor=1 (dbgen-lite row counts, ~45k tuples)");
-  w.KV("tpch_sf1_tuples", columnar.tuples);
-  w.KV("tpch_sf1_gen_seconds", columnar.gen_seconds);
-  w.KV("datagen_grow_events", columnar.grow_events);
-  w.KV("columnar_scan_ns_per_row", columnar.scan_columnar_ns);
-  w.KV("rowwise_scan_ns_per_row", columnar.scan_rowwise_ns);
-  w.KV("columnar_scan_speedup",
-       columnar.scan_columnar_ns > 0
-           ? columnar.scan_rowwise_ns / columnar.scan_columnar_ns
-           : 0.0);
-  w.KV("index_build_columnar_seconds", columnar.index_build_columnar_seconds);
-  w.KV("index_build_rowwise_seconds", columnar.index_build_rowwise_seconds);
-  w.KV("index_build_speedup",
-       columnar.index_build_columnar_seconds > 0
-           ? columnar.index_build_rowwise_seconds /
-                 columnar.index_build_columnar_seconds
-           : 0.0);
-  w.KV("index_build_keys", columnar.index_keys);
-  w.KV("index_build_entries_equal", columnar.index_entries_equal);
-  w.KV("kernel_probe_view_ns", columnar.kernel_view_ns);
-  w.KV("kernel_probe_copy_ns", columnar.kernel_copy_ns);
-  w.KV("intern_hit_rate", columnar.intern_hit_rate);
-  w.KV("intern_requests", columnar.intern_requests);
-  w.KV("intern_strings", columnar.intern_strings);
-  w.KV("intern_arena_bytes", columnar.intern_arena_bytes);
-  w.KV("intern_requested_bytes", columnar.intern_requested_bytes);
-  w.KV("intern_footprint_ratio", columnar.intern_footprint_ratio);
-  w.EndObject();
-
-  FILE* f = std::fopen("BENCH_core.json", "w");
-  if (f == nullptr) {
-    std::printf("cannot write BENCH_core.json\n");
-    return;
-  }
-  std::fprintf(f, "%s\n", w.str().c_str());
-  std::fclose(f);
-  std::printf("obs overhead (interleaved): metrics_on=%.4fs "
-              "metrics_off=%.4fs ratio=%.3f (raw %.3f)\n",
-              obs_overhead.on_seconds, obs_overhead.off_seconds,
-              obs_overhead.ratio, obs_overhead.ratio_raw);
-  std::printf("\nBENCH_core.json: seq=%.4fs pooled=%.4fs speedup=%.2fx "
-              "pairs_equal=%d ml_cache_hit=%.1fns (host threads: %u, pool "
-              "threads: %d)\n",
-              seq, pooled, pool_speedup, pairs_equal, hit_ns, hw,
-              pool_threads);
-  if (pool_oversubscribed) {
-    std::printf("WARNING: pooled DMatch did not beat sequential (%.2fx). "
-                "This host exposes %u hardware thread(s) for %d pool "
-                "threads; the gap is oversubscription overhead, not an "
-                "executor regression.\n",
-                pool_speedup, hw, pool_threads);
-  }
-  std::printf("ML workload: off=%.4fs on=%.4fs noprofiles=%.4fs "
-              "speedup=%.2fx profiles_speedup=%.2fx pairs_equal=%d "
-              "indices_built=%llu\n",
-              ml.off_seconds, ml.on_seconds, ml.noprofiles_seconds,
-              ml.on_seconds > 0 ? ml.off_seconds / ml.on_seconds : 0.0,
-              ml.on_seconds > 0 ? ml.noprofiles_seconds / ml.on_seconds : 0.0,
-              ml.pairs_equal,
-              static_cast<unsigned long long>(ml.indices_built));
-  std::printf("batch kernels (%s, batch 256): token_jaccard %.1f -> %.1f "
-              "ns/pair (%.1fx), predict@0.5 %.1f ns/pair, edit@0.75 %.1f "
-              "ns/pair, profiles build=%.4fs %.1f KiB, scores_equal=%d\n",
-              batch.simd_level.c_str(), kernels.token_jaccard_ns,
-              batch.token_jaccard_batch_ns,
-              batch.token_jaccard_batch_ns > 0
-                  ? kernels.token_jaccard_ns / batch.token_jaccard_batch_ns
-                  : 0.0,
-              batch.ml_probe_batch_ns, batch.edit_predict_batch_ns,
-              batch.build_seconds,
-              static_cast<double>(batch.profile_bytes) / 1024.0,
-              batch.batch_scores_equal);
-  std::printf("routing: serial=%.4fs pooled=%.4fs speedup=%.2fx "
-              "simulated=%.2fx inboxes_equal=%d (%llu facts, %llu wire "
-              "bytes)\n",
-              routing.serial_seconds, routing.pooled_seconds, route_speedup,
-              route_speedup_simulated, routing.inboxes_equal,
-              static_cast<unsigned long long>(routing.messages),
-              static_cast<unsigned long long>(routing.bytes));
-  std::printf("propagation: spanning=%llu msgs (%llu B)\n",
-              static_cast<unsigned long long>(spanning.spanning_messages),
-              static_cast<unsigned long long>(spanning.spanning_bytes));
-  std::printf("inc cascade: full(%zu leaves)=%.4fs half(%zu)=%.4fs "
-              "per-leaf ratio=%.2f seeded=%llu rounds=%llu "
-              "simulated_speedup=%.2fx pairs_equal(par,seq)=%d\n",
-              inc_full.leaves, inc_full.seconds, inc_half.leaves,
-              inc_half.seconds,
-              inc_half_per_leaf > 0 ? inc_full_per_leaf / inc_half_per_leaf
-                                    : 0.0,
-              static_cast<unsigned long long>(inc_full.seeded_joins),
-              static_cast<unsigned long long>(inc_full.rounds),
-              inc_speedup_simulated, inc_pairs_equal);
-  std::printf("update stream: init=%.4fs batches=%zu total=%.4fs "
-              "max_batch=%.4fs equals_scratch=%d matched_pairs=%llu\n",
-              stream.init_seconds, stream.batch_seconds.size(),
-              stream.total_batch_seconds, stream.max_batch_seconds,
-              stream.equals_scratch,
-              static_cast<unsigned long long>(stream.matched_pairs));
-  std::printf("dcerd service: ok=%d appends=%llu queries=%zu p50=%.1fus "
-              "p99=%.1fus lag mean=%.4fs max=%.4fs ack_visible=%d\n",
-              service.ok, static_cast<unsigned long long>(service.appends),
-              service.queries, service.p50_seconds * 1e6,
-              service.p99_seconds * 1e6, service.mean_lag_seconds,
-              service.max_lag_seconds, service.ack_implies_visible);
-  std::printf("columnar (tpch SF1, %llu tuples, gen=%.3fs, grow_events=%llu):"
-              " scan %.2f vs %.2f ns/row, index build %.4f vs %.4f s "
-              "(%llu keys, equal=%d), kernel %.1f vs %.1f ns\n",
-              static_cast<unsigned long long>(columnar.tuples),
-              columnar.gen_seconds,
-              static_cast<unsigned long long>(columnar.grow_events),
-              columnar.scan_columnar_ns, columnar.scan_rowwise_ns,
-              columnar.index_build_columnar_seconds,
-              columnar.index_build_rowwise_seconds,
-              static_cast<unsigned long long>(columnar.index_keys),
-              columnar.index_entries_equal, columnar.kernel_view_ns,
-              columnar.kernel_copy_ns);
-  std::printf("interning: hit_rate=%.3f strings=%llu arena=%llu B "
-              "requested=%llu B footprint_ratio=%.3f\n",
-              columnar.intern_hit_rate,
-              static_cast<unsigned long long>(columnar.intern_strings),
-              static_cast<unsigned long long>(columnar.intern_arena_bytes),
-              static_cast<unsigned long long>(columnar.intern_requested_bytes),
-              columnar.intern_footprint_ratio);
-}
-
 }  // namespace
 }  // namespace dcer
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dcer::WriteBenchCoreJson();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -241,7 +241,6 @@ void ChaseEngine::RecordAndReplay(std::vector<RecordJob>* jobs,
     for (RecordJob& job : *jobs) {
       group.Run([this, &job, &enumerate, trace_ctx] {
         obs::TraceContextScope trace_scope(trace_ctx);
-        Timer job_timer;
         // Same ML policy as the scope joiner: plans (and thus the slicing of
         // the root candidate list) must agree with it. The caller prewarmed
         // the scope's indices, so probes only read.
@@ -260,7 +259,6 @@ void ChaseEngine::RecordAndReplay(std::vector<RecordJob>* jobs,
                     return true;
                   });
         job.counters = joiner.counters();
-        job.seconds = job_timer.ElapsedSeconds();
       });
     }
     group.Wait();
@@ -487,7 +485,6 @@ void ChaseEngine::ExecuteIncRoundTasks(Delta* round_out) {
   if (!pooled) {
     // Per-task enumeration with immediate application, in the same
     // (rule, scope, item-order) the pooled replay reproduces.
-    Timer round_timer;
     for (const IncTask& t : inc_tasks_) {
       RuleJoiner* joiner = scopes_[t.rule][t.scope].joiner.get();
       std::pair<int, uint32_t> seed_arr[2] = {{t.lvar, t.lrow},
@@ -502,9 +499,6 @@ void ChaseEngine::ExecuteIncRoundTasks(Delta* round_out) {
                               });
       AddJoinCounters(&stats_, joiner->counters() - before);
     }
-    const double secs = round_timer.ElapsedSeconds();
-    inc_task_seconds_sum_ += secs;
-    inc_round_max_seconds_sum_ += secs;  // one chunk: critical path = total
     return;
   }
 
@@ -542,12 +536,6 @@ void ChaseEngine::ExecuteIncRoundTasks(Delta* round_out) {
         }
       },
       round_out);
-  double round_max = 0;
-  for (const RecordJob& chunk : chunks) {
-    inc_task_seconds_sum_ += chunk.seconds;
-    round_max = std::max(round_max, chunk.seconds);
-  }
-  inc_round_max_seconds_sum_ += round_max;
 }
 
 void ChaseEngine::IncDeduce(const Delta& seeds, Delta* out) {

@@ -131,14 +131,6 @@ class ChaseEngine {
 
   const ChaseStats& stats() const { return stats_; }
   const DependencyStore& dependencies() const { return deps_; }
-  /// Chunk-enumeration wall time of the parallel inc pass: total across
-  /// chunks, and the sum over rounds of each round's slowest chunk (the
-  /// simulated time with one core per chunk). Timing — excluded from the
-  /// determinism contract, like every seconds field.
-  double inc_task_seconds_sum() const { return inc_task_seconds_sum_; }
-  double inc_round_max_seconds_sum() const {
-    return inc_round_max_seconds_sum_;
-  }
   const DatasetView& view() const { return *view_; }
   MatchContext& context() { return *ctx_; }
 
@@ -179,7 +171,6 @@ class ChaseEngine {
     std::vector<uint32_t> rows{};
     std::vector<int> unsat{};
     JoinCounters counters{};
-    double seconds = 0;  // the job's enumeration wall time
   };
   using JobEnumerator = std::function<void(
       const RecordJob&, RuleJoiner*, const RuleJoiner::Callback& record)>;
@@ -260,13 +251,6 @@ class ChaseEngine {
   // Per rule: feasibility of each scope for this call; 0 unknown,
   // 1 feasible, -1 infeasible.
   std::vector<std::vector<int8_t>> inc_feasible_;
-
-  // Wall time spent inside the recorded chunk enumerations of the parallel
-  // inc pass: total across chunks, and the sum over rounds of each round's
-  // slowest chunk (the round's simulated parallel time, one core per
-  // chunk). Timing only — excluded from the determinism contract.
-  double inc_task_seconds_sum_ = 0;
-  double inc_round_max_seconds_sum_ = 0;
 };
 
 }  // namespace dcer

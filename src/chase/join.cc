@@ -85,6 +85,8 @@ RuleJoiner::RuleJoiner(DatasetIndex* index, const Rule* rule,
   ml_probe_scratch_.resize(n);
   if (!roles_.empty()) role_scratch_.resize(n);
   ml_prunable_.assign(pre.size(), 0);
+  batch_scored_.resize(pre.size());
+  batch_var_.assign(pre.size(), -1);
   root_plan_ = PlanFor(0);
 }
 
@@ -146,8 +148,9 @@ Fact RuleJoiner::MlFactFor(const Predicate& p,
                            GidOf(p.rhs.var, rows[p.rhs.var]), b_sig);
 }
 
-bool RuleJoiner::EvalIdOrMl(const Predicate& p,
+bool RuleJoiner::EvalIdOrMl(int pred_index,
                             const std::vector<uint32_t>& rows) const {
+  const Predicate& p = rule_->preconditions()[pred_index];
   if (p.kind == PredicateKind::kIdEq) {
     Gid a = GidOf(p.lhs.var, rows[p.lhs.var]);
     Gid b = GidOf(p.rhs.var, rows[p.rhs.var]);
@@ -155,20 +158,32 @@ bool RuleJoiner::EvalIdOrMl(const Predicate& p,
                                  : ctx_->Matched(a, b);
   }
   Fact f = MlFactFor(p, rows);
-  if (ctx_->IsValidatedMl(f.Key())) return true;
+  const uint64_t key = f.Key();
+  if (ctx_->IsValidatedMl(key)) return true;
   // Probe the prediction cache before materializing the attribute vectors:
   // hits (the common case once the chase is warm) never touch the tuples.
-  int cached = registry_->CachedPrediction(p.ml_id, f.Key());
+  // A verdict the batch kernels produced in this loop was counted as a
+  // prediction there; reading it back is the same evaluation, not a hit.
+  if (const int var = batch_var_[pred_index]; var >= 0) {
+    std::vector<uint32_t>& scored = batch_scored_[pred_index];
+    const uint32_t row = rows[var];
+    if (row < scored.size() && (scored[row] >> 1) == batch_gen_) {
+      const bool holds = (scored[row] & 1) != 0;
+      scored[row] = 0;
+      return holds;
+    }
+  }
+  const int cached = registry_->CachedPrediction(p.ml_id, key);
   if (cached >= 0) return cached != 0;
   FillMlValues(p.lhs.var, p.lhs_ml_attrs, rows[p.lhs.var], &ml_scratch_a_);
   FillMlValues(p.rhs.var, p.rhs_ml_attrs, rows[p.rhs.var], &ml_scratch_b_);
-  return registry_->PredictAndCache(p.ml_id, f.Key(), ml_scratch_a_,
+  return registry_->PredictAndCache(p.ml_id, key, ml_scratch_a_,
                                     ml_scratch_b_);
 }
 
 bool RuleJoiner::LeafHolds(int pred_index,
                            const std::vector<uint32_t>& rows) {
-  return EvalIdOrMl(rule_->preconditions()[pred_index], rows);
+  return EvalIdOrMl(pred_index, rows);
 }
 
 void RuleJoiner::PrewarmIndexes() {
@@ -287,7 +302,7 @@ bool RuleJoiner::CheckLeaf(const Callback& cb) {
   ++counters_.valuations_checked;
   unsat_scratch_.clear();
   for (int i : leaf_preds_) {
-    if (!EvalIdOrMl(rule_->preconditions()[i], binding_)) {
+    if (!EvalIdOrMl(i, binding_)) {
       unsat_scratch_.push_back(i);
     }
   }
@@ -454,11 +469,15 @@ void RuleJoiner::BatchFillMlPredictions(
         MlSideSignature(rule_->var_relation(other), *other_attrs);
     const Gid other_gid = GidOf(other, other_row);
     const double threshold = clf.threshold();
+    std::vector<uint32_t>& scored = batch_scored_[i];
+    if (scored.size() < my_col.size()) scored.resize(my_col.size(), 0);
+    batch_var_[i] = var;
     constexpr size_t kBlock = 256;
     for (size_t b = lo; b < hi; b += kBlock) {
       const size_t e = std::min(hi, b + kBlock);
       batch_ids_.clear();
       batch_keys_.clear();
+      batch_rows_.clear();
       for (size_t j = b; j < e; ++j) {
         const uint32_t row = candidates[j];
         const uint64_t key =
@@ -477,6 +496,7 @@ void RuleJoiner::BatchFillMlPredictions(
         }
         batch_ids_.push_back(cid);
         batch_keys_.push_back(key);
+        batch_rows_.push_back(row);
       }
       if (batch_ids_.empty()) continue;
       batch_preds_.resize(batch_ids_.size());
@@ -495,8 +515,9 @@ void RuleJoiner::BatchFillMlPredictions(
           continue;
       }
       for (size_t j = 0; j < batch_keys_.size(); ++j) {
-        registry_->InsertPrediction(p.ml_id, batch_keys_[j],
-                                    batch_preds_[j] != 0);
+        const bool holds = batch_preds_[j] != 0;
+        registry_->InsertPrediction(p.ml_id, batch_keys_[j], holds);
+        scored[batch_rows_[j]] = (batch_gen_ << 1) | (holds ? 1 : 0);
       }
     }
   }
@@ -536,8 +557,9 @@ void RuleJoiner::ForRows(const std::vector<uint32_t>& all_candidates,
   // Last variable with nothing filtering the rows below: every candidate
   // reaches the leaf, so its ML predicates can be evaluated one-vs-many
   // before the loop instead of pair-by-pair inside it.
-  if (num_bound_ == rule_->num_vars() && constraints.empty() &&
-      self_eqs_[var].empty()) {
+  const bool batched = num_bound_ == rule_->num_vars() &&
+                       constraints.empty() && self_eqs_[var].empty();
+  if (batched) {
     if (skip > lo) BatchFillMlPredictions(var, *candidates, lo, skip);
     if (hi > skip + 1) BatchFillMlPredictions(var, *candidates, skip + 1, hi);
   }
@@ -573,6 +595,14 @@ void RuleJoiner::ForRows(const std::vector<uint32_t>& all_candidates,
     binding_[var] = row;
     Backtrack(cb, stop);
     if (*stop) break;
+  }
+  // Rows the leaf never reached (a failed local check, an early stop) keep
+  // their marks; a new generation turns a later read into a cache probe.
+  if (batched && ++batch_gen_ == kBatchGenLimit) {
+    for (std::vector<uint32_t>& scored : batch_scored_) {
+      std::fill(scored.begin(), scored.end(), 0);
+    }
+    batch_gen_ = 1;
   }
 }
 

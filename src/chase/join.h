@@ -245,7 +245,7 @@ class RuleJoiner {
   const BindPlan& PlanFor(uint64_t seeded_mask);
   bool RowSatisfiesLocalPreds(int var, uint32_t row) const;
   bool CheckLeaf(const Callback& cb);
-  bool EvalIdOrMl(const Predicate& p, const std::vector<uint32_t>& rows) const;
+  bool EvalIdOrMl(int pred_index, const std::vector<uint32_t>& rows) const;
   void FillMlValues(int var, const std::vector<int>& attrs, uint32_t row,
                     std::vector<Value>* out) const;
   Gid GidOf(int var, uint32_t row) const;
@@ -298,6 +298,18 @@ class RuleJoiner {
   std::vector<uint32_t> batch_ids_;    // candidate pool ids per block
   std::vector<uint64_t> batch_keys_;   // their prediction-cache pair keys
   std::vector<uint8_t> batch_preds_;   // kernel verdicts
+  std::vector<uint32_t> batch_rows_;   // their rows of the scored variable
+  // Verdicts the batch kernels produced in the ForRows loop in progress:
+  // batch_scored_[i][row] == batch_gen_ << 1 | verdict iff precondition i
+  // was scored for `row` of variable batch_var_[i]. They were counted as
+  // predictions; the leaf reads the verdict here, as the same evaluation,
+  // without a cache probe that would count a hit (or, had the lossy cache
+  // dropped the insert, a second prediction). Bumping batch_gen_ at the end
+  // of the loop forgets them all at once.
+  static constexpr uint32_t kBatchGenLimit = uint32_t{1} << 31;
+  mutable std::vector<std::vector<uint32_t>> batch_scored_;
+  std::vector<int> batch_var_;
+  uint32_t batch_gen_ = 1;
   mutable std::vector<Value> ml_scratch_a_;
   mutable std::vector<Value> ml_scratch_b_;
 };

@@ -102,7 +102,7 @@ std::unique_ptr<GenDataset> MakeTpch(const TpchOptions& options) {
 
   // Reserve every relation at its worst case (each entity duplicated at
   // most once) so appends never reallocate a column — Relation::grow_events
-  // audits this, and bench/micro_core reports the sum as datagen_grow_events.
+  // audits this, and tests/counters_test.cc pins the sum at SF 1 to zero.
   d.ReserveTuples(region, std::size(kRegions));
   d.ReserveTuples(nation, 2 * std::size(kNations));
   d.ReserveTuples(supplier, 2 * num_suppliers);

@@ -97,8 +97,8 @@ class MlRegistry {
                        const std::vector<Value>& b) const;
 
   /// Stats-free cache probe (no hit counter): the batch evaluator uses it to
-  /// decide which candidates still need scoring without inflating the hit
-  /// rate the benchmarks report for the per-pair path. Thread-safe.
+  /// decide which candidates still need scoring, so each ML evaluation counts
+  /// once, as a prediction or as a hit, on either path. Thread-safe.
   int PeekPrediction(int id, uint64_t pair_key) const;
 
   /// Memoizes an externally computed prediction (batch kernels). Counted as

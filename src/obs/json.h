@@ -8,12 +8,11 @@
 
 namespace dcer {
 
-/// Minimal streaming JSON writer: replaces the hand-rolled fprintf emitters
-/// that used to live in bench/micro_core and eval/runner. Handles commas,
-/// nesting and string escaping; the caller provides structure via
-/// BeginObject/Key/Value calls. Output is a single line (no pretty
-/// printing) — the readers in this repo (bench/check_regression's flat
-/// scanner, external jq/python) do not care.
+/// Minimal streaming JSON writer for run reports, dcerd's STATS answer and
+/// the eval runner. Handles commas, nesting and string escaping; the caller
+/// provides structure via BeginObject/Key/Value calls. Output is a single
+/// line (no pretty printing); its readers (perfbench, jq, python) do not
+/// care.
 class JsonWriter {
  public:
   JsonWriter& BeginObject();

@@ -17,7 +17,7 @@ namespace obs {
 
 /// Whether metric collection is on. A single relaxed atomic load: the hot
 /// layers guard their instrumentation with this, so a disabled build path
-/// costs one predictable branch (<2% on micro_core; see EXPERIMENTS.md).
+/// costs one predictable branch (see EXPERIMENTS.md).
 bool MetricsEnabled();
 void SetMetricsEnabled(bool on);
 

@@ -68,7 +68,6 @@ void DMatchReport::ExtraJson(JsonWriter* w) const {
   w->KV("teardown_seconds", teardown_seconds);
   w->KV("simulated_seconds", simulated_seconds);
   w->KV("route_seconds", route_seconds);
-  w->KV("route_simulated_seconds", route_simulated_seconds);
   w->Key("partition").BeginObject();
   w->KV("generated_tuples", partition.generated_tuples);
   w->KV("fragment_tuples", partition.fragment_tuples);
@@ -229,7 +228,6 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
   report.outbox_messages = master.outbox_messages();
   report.outbox_bytes = master.outbox_bytes();
   report.route_seconds = master.route_seconds();
-  report.route_simulated_seconds = master.route_shard_max_seconds();
   report.matched_pairs = result->num_matched_pairs();
   report.validated_ml = result->num_validated_ml();
   report.ml_predictions = registry.num_predictions() - preds_before;

@@ -48,9 +48,6 @@ struct DMatchReport : RunReport {
   double teardown_seconds = 0;
   double simulated_seconds = 0;  // Σ_steps max_i t_i: n dedicated machines
   double route_seconds = 0;      // master wall clock spent routing
-  /// Σ per-dispatch max destination-shard time: routing on one dedicated
-  /// core per destination, the router analogue of simulated_seconds.
-  double route_simulated_seconds = 0;
 
  protected:
   void ExtraJson(JsonWriter* w) const override;

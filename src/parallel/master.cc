@@ -100,9 +100,7 @@ bool Master::Dispatch(std::vector<std::vector<Fact>>* inboxes) {
   // another shard's state.
   std::vector<std::vector<uint8_t>> encoded(num_workers_);
   std::vector<uint64_t> shard_messages(num_workers_, 0);
-  std::vector<double> shard_seconds(num_workers_, 0);
   auto merge_one = [&](int d) {
-    Timer shard_timer;
     // The destination knows every fact it sent this superstep: mark those
     // first so they are never delivered back to their producer.
     std::unordered_set<uint64_t>& seen = seen_[d];
@@ -116,7 +114,6 @@ bool Master::Dispatch(std::vector<std::vector<Fact>>* inboxes) {
     if (!inbox.empty()) {
       shard_messages[d] = wire::EncodeFactBatch(inbox, &encoded[d]);
     }
-    shard_seconds[d] = shard_timer.ElapsedSeconds();
   };
 
   if (options_.pool != nullptr) {
@@ -158,14 +155,6 @@ bool Master::Dispatch(std::vector<std::vector<Fact>>* inboxes) {
     sender_keys_[w].clear();
   }
 
-  double max_shard = 0;
-  double sum_shard = 0;
-  for (double s : shard_seconds) {
-    max_shard = std::max(max_shard, s);
-    sum_shard += s;
-  }
-  route_shard_max_seconds_ += max_shard;
-  route_shard_sum_seconds_ += sum_shard;
   route_seconds_ += route_timer.ElapsedSeconds();
   return any;
 }

@@ -87,14 +87,8 @@ class Master {
   uint64_t outbox_messages() const { return outbox_messages_; }
   uint64_t outbox_bytes() const { return outbox_bytes_; }
 
-  /// Router timing: total wall clock spent routing in Dispatch, the summed
-  /// per-destination shard times (the serial-equivalent work), and the sum
-  /// of per-Dispatch max shard times (the simulated parallel routing time
-  /// on one dedicated core per destination — same convention as
-  /// DMatchReport::simulated_seconds).
+  /// Router timing: total wall clock spent routing in Dispatch.
   double route_seconds() const { return route_seconds_; }
-  double route_shard_sum_seconds() const { return route_shard_sum_seconds_; }
-  double route_shard_max_seconds() const { return route_shard_max_seconds_; }
 
   const UnionFind& global_eid() const { return eid_; }
 
@@ -127,8 +121,6 @@ class Master {
   uint64_t outbox_messages_ = 0;
   uint64_t outbox_bytes_ = 0;
   double route_seconds_ = 0;
-  double route_shard_sum_seconds_ = 0;
-  double route_shard_max_seconds_ = 0;
 };
 
 }  // namespace dcer

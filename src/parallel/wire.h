@@ -137,8 +137,8 @@ WireError ReadHeader(Reader* r, uint8_t* tag_out,
 /// Binary wire codec for the BSP message plane. Only deduced facts — never
 /// raw tuples — cross worker boundaries (Sec. V-B), so one compact batch
 /// format covers all of DMatch's communication. Every byte count the system
-/// reports (`DMatchReport::bytes`, `SuperstepStats::bytes`, the
-/// `check_regression` wire gate) is the size of a batch produced by
+/// reports (`DMatchReport::bytes`, `SuperstepStats::bytes`, the exact wire
+/// pins in tests/counters_test.cc) is the size of a batch produced by
 /// EncodeFactBatch: the codec is the single unit of comm-volume accounting.
 ///
 /// Layout (all integers little-endian):

@@ -274,7 +274,7 @@ std::string ResolverDaemon::StatsJson() const {
   w.KV("total_visibility_lag_seconds", s.total_visibility_lag_seconds);
   w.KV("max_visibility_lag_seconds", s.max_visibility_lag_seconds);
   // Interpolated quantiles over the whole-process dcerd.query histogram —
-  // scrape-friendly mirrors of what bench/micro_core measures exactly.
+  // scrape-friendly mirrors of the client-side latencies perfbench measures.
   const auto snap = obs::MetricsRegistry::Global().Snapshot();
   auto it = snap.histograms.find("dcerd.query");
   if (it != snap.histograms.end() && it->second.count > 0) {

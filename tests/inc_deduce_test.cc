@@ -10,13 +10,13 @@
 #include <utility>
 #include <vector>
 
-#include "bench/workloads.h"
 #include "chase/deduce.h"
 #include "chase/match.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "datagen/ecommerce.h"
 #include "parallel/dmatch.h"
+#include "workloads.h"
 
 namespace dcer {
 namespace {

@@ -223,27 +223,62 @@ MlOnlyWorkload MakeMlOnlyWorkload(size_t customers) {
   return w;
 }
 
+// At ecommerce 300 the off run scores the full cross product, through the
+// batch kernels or pair by pair: the candidate indices cut valuations
+// 324,902 -> 26,940 and ML predictions 162,452 -> 13,470 (each unordered
+// pair once; its other orientation is a cache hit).
 TEST(MlIndexChase, MlOnlyRulesBitIdenticalAndActuallyIndexed) {
-  MlOnlyWorkload w = MakeMlOnlyWorkload(80);
+  MlOnlyWorkload w = MakeMlOnlyWorkload(300);
   DatasetView view = DatasetView::Full(w.gd->dataset);
+  auto run = [&](bool ml_index, bool ml_profiles, MatchContext* ctx) {
+    w.gd->registry.ClearCache();
+    MatchOptions options;
+    options.ml_index = ml_index;
+    options.ml_profiles = ml_profiles;
+    return engine::Match(view, w.rules, w.gd->registry, options, ctx);
+  };
 
-  MatchOptions off;
-  off.ml_index = false;
-  MatchContext ctx_off(w.gd->dataset);
-  MatchReport r_off = engine::Match(view, w.rules, w.gd->registry, off, &ctx_off);
-
-  MatchOptions on;
-  on.ml_index = true;
-  w.gd->registry.ClearCache();
   MatchContext ctx_on(w.gd->dataset);
-  MatchReport r_on = engine::Match(view, w.rules, w.gd->registry, on, &ctx_on);
+  const MatchReport r_on = run(true, true, &ctx_on);
+  EXPECT_EQ(r_on.matched_pairs, 1123u);
+  EXPECT_EQ(r_on.chase.ml_indices_built, 2u);
+  EXPECT_EQ(r_on.chase.valuations, 26940u);
+  EXPECT_EQ(r_on.ml_predictions, 13470u);
 
-  EXPECT_EQ(ctx_off.MatchedPairs(), ctx_on.MatchedPairs());
-  EXPECT_GT(ctx_on.num_matched_pairs(), 0u);  // the workload is non-trivial
-  EXPECT_GT(r_on.chase.ml_indices_built, 0u);
-  EXPECT_EQ(r_off.chase.ml_indices_built, 0u);
-  // The index pruned leaf valuations, it did not merely tag along.
-  EXPECT_LT(r_on.chase.valuations, r_off.chase.valuations);
+  for (bool ml_profiles : {true, false}) {
+    MatchContext ctx_off(w.gd->dataset);
+    const MatchReport r_off = run(false, ml_profiles, &ctx_off);
+    EXPECT_EQ(ctx_off.MatchedPairs(), ctx_on.MatchedPairs())
+        << "ml_profiles=" << ml_profiles;
+    EXPECT_EQ(ctx_off.ValidatedMlKeys(), ctx_on.ValidatedMlKeys())
+        << "ml_profiles=" << ml_profiles;
+    EXPECT_EQ(r_off.chase.ml_indices_built, 0u);
+    // The index pruned leaf valuations, it did not merely tag along.
+    EXPECT_EQ(r_off.chase.valuations, 324902u);
+    EXPECT_EQ(r_off.ml_predictions, 162452u) << "ml_profiles=" << ml_profiles;
+  }
+}
+
+// Each ML evaluation counts once, as a prediction or as a cache hit, whether
+// the batch kernels or the per-pair leaf computed it: a verdict the batch
+// path inserted for a valuation is not also a hit when its leaf reads it.
+TEST(MlIndexChase, BatchKernelsCountEachEvaluationOnce) {
+  MlOnlyWorkload w = MakeMlOnlyWorkload(300);
+  DatasetView view = DatasetView::Full(w.gd->dataset);
+  MatchContext ctx[2] = {MatchContext(w.gd->dataset),
+                         MatchContext(w.gd->dataset)};
+  for (bool ml_profiles : {true, false}) {
+    w.gd->registry.ClearCache();
+    MatchOptions options;
+    options.ml_profiles = ml_profiles;
+    const MatchReport r = engine::Match(view, w.rules, w.gd->registry,
+                                        options, &ctx[ml_profiles ? 0 : 1]);
+    EXPECT_EQ(r.chase.valuations, 26940u) << "ml_profiles=" << ml_profiles;
+    EXPECT_EQ(r.ml_predictions, 13470u) << "ml_profiles=" << ml_profiles;
+    EXPECT_EQ(r.ml_cache_hits, 13470u) << "ml_profiles=" << ml_profiles;
+  }
+  EXPECT_EQ(ctx[0].MatchedPairs(), ctx[1].MatchedPairs());
+  EXPECT_EQ(ctx[0].ValidatedMlKeys(), ctx[1].ValidatedMlKeys());
 }
 
 TEST(MlIndexChase, MlOnlyRulesParallelEnumerationBitIdentical) {

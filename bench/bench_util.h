@@ -34,20 +34,19 @@ inline int ArgI(int argc, char** argv, const char* name, int def) {
 /// Runs DMatch with workers executed sequentially by default, so
 /// `simulated_seconds` (Σ per-superstep max over workers) models n dedicated
 /// machines — the meaningful metric when the bench host has fewer cores than
-/// workers. Pass run_parallel=true / threads>1 to measure the real pooled
-/// execution instead. Clears the ML prediction cache first so back-to-back
+/// workers. Pass run_parallel=true to measure the real pooled execution
+/// instead. Clears the ML prediction cache first so back-to-back
 /// comparison runs (MQO vs noMQO, worker sweeps) don't ride each other's
 /// warm cache.
 inline DMatchReport TimedDMatch(GenDataset& gd, const RuleSet& rules,
                                 int workers, bool use_mqo, MatchContext* ctx,
-                                int threads = 1, bool run_parallel = false) {
+                                bool run_parallel = false) {
   gd.registry.ClearCache();
   gd.registry.ResetStats();
   DMatchOptions options;
   options.num_workers = workers;
   options.use_mqo = use_mqo;
   options.run_parallel = run_parallel;
-  options.threads = threads;
   return engine::DMatch(gd.dataset, rules, gd.registry, options, ctx);
 }
 

@@ -102,7 +102,7 @@ void WallVsMatch(double sf) {
       MatchContext ctx(gd->dataset);
       Timer timer;
       last = bench::TimedDMatch(*gd, gd->rules, n, /*use_mqo=*/true, &ctx,
-                                /*threads=*/1, /*run_parallel=*/true);
+                                /*run_parallel=*/true);
       return timer.ElapsedSeconds();
     });
     table.AddRow({std::to_string(n), std::to_string(last.chase.valuations),
@@ -123,38 +123,12 @@ void WallVsMatch(double sf) {
   table.Print();
 }
 
-// Intra-worker parallelism: real wall clock of the pooled BSP phase at a
-// fixed worker count, sweeping EngineOptions::threads. Unlike the simulated
-// sweep above, this measures actual concurrent execution on the bench host,
-// so gains cap at the host's core count.
-void TpwSweep(const char* name, GenDataset& gd, const RuleSet& rules,
-              int workers, int threads_max) {
-  TablePrinter table({"threads/worker", "wall", "speedup"});
-  double base = 0;
-  for (int threads = 1; threads <= threads_max; threads *= 2) {
-    double best = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-      dcer::MatchContext ctx(gd.dataset);
-      dcer::DMatchReport r = dcer::bench::TimedDMatch(
-          gd, rules, workers, true, &ctx, threads, /*run_parallel=*/true);
-      if (rep == 0 || r.er_seconds < best) best = r.er_seconds;
-    }
-    if (base == 0) base = best;
-    table.AddRow({std::to_string(threads), FmtSecs(best),
-                  StringPrintf("%.2fx", base / best)});
-  }
-  std::printf("-- %s (n=%d, pooled wall clock) --\n", name, workers);
-  table.Print();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   double scale = bench::ArgD(argc, argv, "scale", 3.0);
-  int tpw_max = bench::ArgI(argc, argv, "tpw", 4);
 
-  bench::PrintHeader("DMatch wall vs engine::Match wall (pooled, 1 thread "
-                     "per worker)");
+  bench::PrintHeader("DMatch wall vs engine::Match wall (pooled workers)");
   for (double sf : {1.0, 2.0}) WallVsMatch(sf);
 
   bench::PrintHeader("Fig 6(i)(j): time vs number of workers");
@@ -170,9 +144,6 @@ int main(int argc, char** argv) {
   auto tfacc = MakeTfacc(fopt);
   RuleSet tfacc_rules = MakeTfaccSweepRules(*tfacc, 30, 6);
   Sweep("TFACC (||Sigma||=30)", *tfacc, tfacc_rules, {4, 8, 16, 32});
-
-  bench::PrintHeader("threads-per-worker sweep (persistent pool)");
-  TpwSweep("TPCH (||Sigma||=75)", *tpch, tpch_rules, 4, tpw_max);
 
   std::printf("(paper: DMatch 3.56x faster at n=32 vs n=4; parallel"
               " scalability, Thm. 7)\n");

@@ -146,8 +146,8 @@ void BM_EditPredictBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EditPredictBatch)->Arg(1)->Arg(16)->Arg(256);
 
-// Cold path: what one from-scratch profile build over the corpus pool costs
-// (the price PrewarmIndexes pays once per dataset).
+// Cold path: what one from-scratch profile build over the corpus pool costs,
+// paid once per pool rather than per query.
 void BM_ProfileStoreBuild(benchmark::State& state) {
   std::vector<std::string> descs = DescCorpus(static_cast<size_t>(
       state.range(0)));

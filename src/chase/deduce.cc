@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -11,15 +10,11 @@
 namespace dcer {
 
 ChaseEngine::Options ChaseEngine::FromEngineOptions(const EngineOptions& eo,
-                                                    ThreadPool* pool) {
+                                                    ThreadPool*) {
   Options o;
   o.dependency_capacity = eo.dependency_capacity;
   o.share_indices = eo.use_mqo;
   o.ml_index = eo.ml_index;
-  if (eo.threads > 1 && pool != nullptr) {
-    o.pool = pool;
-    o.enumeration_shards = eo.threads * 2;
-  }
   return o;
 }
 
@@ -61,9 +56,10 @@ ChaseEngine::ChaseEngine(
       options_(options),
       scoped_(rule_blocks != nullptr),
       deps_(options.dependency_capacity) {
-  ml_policy_.enabled = options_.ml_index;
-  if (ml_policy_.enabled) {
-    ml_policy_.derivable = std::make_shared<const std::unordered_set<uint64_t>>(
+  MlIndexPolicy ml_policy;
+  ml_policy.enabled = options_.ml_index;
+  if (ml_policy.enabled) {
+    ml_policy.derivable = std::make_shared<const std::unordered_set<uint64_t>>(
         DerivableMlKeys(*rules_));
   }
   // One scope per (rule, block); without rule_blocks each rule's one block
@@ -94,7 +90,7 @@ ChaseEngine::ChaseEngine(
       scope.index = index;
       scope.joiner = std::make_unique<RuleJoiner>(index, &rule, registry_,
                                                   ctx_, scope.roles);
-      scope.joiner->ConfigureMlIndex(ml_policy_);
+      scope.joiner->ConfigureMlIndex(ml_policy);
       scopes_[i].push_back(std::move(scope));
     }
   }
@@ -196,94 +192,6 @@ void ChaseEngine::HandleValuation(size_t rule_idx, RuleJoiner* joiner,
   }
 }
 
-bool ChaseEngine::ParallelEnumerate(size_t rule_idx, uint32_t scope_idx,
-                                    Delta* delta) {
-  if (options_.pool == nullptr || options_.enumeration_shards <= 1) {
-    return false;
-  }
-  RuleJoiner* joiner = scopes_[rule_idx][scope_idx].joiner.get();
-  const size_t num_roots = joiner->RootCandidateCount();
-  if (num_roots < options_.min_parallel_root) return false;
-
-  // After prewarming, shard tasks only ever read the shared DatasetIndex.
-  joiner->PrewarmIndexes();
-  const size_t shards =
-      std::min<size_t>(static_cast<size_t>(options_.enumeration_shards),
-                       num_roots);
-  // Shard s enumerates the s-th contiguous slice of the root candidates, so
-  // replaying shards in order reproduces Enumerate's sequence. Shard tasks
-  // also warm the ML prediction cache, which is where the leaf-evaluation
-  // time goes.
-  std::vector<RecordJob> jobs;
-  for (size_t s = 0; s < shards; ++s) {
-    jobs.push_back({static_cast<uint32_t>(rule_idx), scope_idx,
-                    num_roots * s / shards, num_roots * (s + 1) / shards});
-  }
-  RecordAndReplay(
-      &jobs,
-      [](const RecordJob& job, RuleJoiner* shard_joiner,
-         const RuleJoiner::Callback& record) {
-        shard_joiner->EnumerateRange(job.begin, job.end, record);
-      },
-      delta);
-  return true;
-}
-
-void ChaseEngine::RecordAndReplay(std::vector<RecordJob>* jobs,
-                                  const JobEnumerator& enumerate,
-                                  Delta* delta) {
-  {
-    // Pool workers have their own (empty) thread-local trace context —
-    // re-install the dispatching thread's so job spans keep the request's
-    // trace_id.
-    const obs::TraceContext trace_ctx = obs::CurrentTraceContext();
-    TaskGroup group(options_.pool);
-    for (RecordJob& job : *jobs) {
-      group.Run([this, &job, &enumerate, trace_ctx] {
-        obs::TraceContextScope trace_scope(trace_ctx);
-        // Same ML policy as the scope joiner: plans (and thus the slicing of
-        // the root candidate list) must agree with it. The caller prewarmed
-        // the scope's indices, so probes only read.
-        const Scope& scope = scopes_[job.rule][job.scope];
-        RuleJoiner joiner(scope.index, &rules_->rule(job.rule), registry_,
-                          ctx_, scope.roles);
-        joiner.ConfigureMlIndex(ml_policy_);
-        joiner.set_shared_context_reads(true);
-        enumerate(job, &joiner,
-                  [&job](const std::vector<uint32_t>& rows,
-                         const std::vector<int>& unsat) {
-                    job.rows.insert(job.rows.end(), rows.begin(), rows.end());
-                    job.unsat.push_back(static_cast<int>(unsat.size()));
-                    job.unsat.insert(job.unsat.end(), unsat.begin(),
-                                     unsat.end());
-                    return true;
-                  });
-        job.counters = joiner.counters();
-      });
-    }
-    group.Wait();
-  }
-
-  std::vector<uint32_t> rows;
-  std::vector<int> still_unsat;
-  for (const RecordJob& job : *jobs) {
-    RuleJoiner* joiner = scopes_[job.rule][job.scope].joiner.get();
-    const size_t stride = rules_->rule(job.rule).num_vars();
-    size_t u = 0;
-    for (size_t r = 0; r + stride <= job.rows.size(); r += stride) {
-      rows.assign(job.rows.begin() + r, job.rows.begin() + r + stride);
-      const int len = job.unsat[u++];
-      still_unsat.clear();
-      for (int k = 0; k < len; ++k) {
-        const int i = job.unsat[u++];
-        if (!joiner->LeafHolds(i, rows)) still_unsat.push_back(i);
-      }
-      HandleValuation(job.rule, joiner, rows, still_unsat, delta);
-    }
-    AddJoinCounters(&stats_, job.counters);
-  }
-}
-
 void ChaseEngine::Deduce(Delta* delta) {
   DCER_TRACE("chase.deduce");
   // Per-rule deduce time: one histogram sample (and one trace span) per
@@ -303,16 +211,14 @@ void ChaseEngine::Deduce(Delta* delta) {
         span.emplace("deduce:" + rules_->rule(ri).name());
       }
       Timer rule_timer;
-      if (!ParallelEnumerate(ri, si, delta)) {
-        RuleJoiner* joiner = scopes_[ri][si].joiner.get();
-        JoinCounters before = joiner->counters();
-        joiner->Enumerate([&](const std::vector<uint32_t>& rows,
-                              const std::vector<int>& unsat) {
-          HandleValuation(ri, joiner, rows, unsat, delta);
-          return true;
-        });
-        AddJoinCounters(&stats_, joiner->counters() - before);
-      }
+      RuleJoiner* joiner = scopes_[ri][si].joiner.get();
+      JoinCounters before = joiner->counters();
+      joiner->Enumerate([&](const std::vector<uint32_t>& rows,
+                            const std::vector<int>& unsat) {
+        HandleValuation(ri, joiner, rows, unsat, delta);
+        return true;
+      });
+      AddJoinCounters(&stats_, joiner->counters() - before);
       if (rule_hist != nullptr) {
         rule_hist->RecordSeconds(rule_timer.ElapsedSeconds());
       }
@@ -476,68 +382,6 @@ void ChaseEngine::BuildIncRoundTasks() {
   });
 }
 
-void ChaseEngine::ExecuteIncRoundTasks(Delta* round_out) {
-  if (inc_tasks_.empty()) return;
-
-  const bool pooled = options_.pool != nullptr &&
-                      options_.enumeration_shards > 1 &&
-                      inc_tasks_.size() >= options_.min_parallel_inc_tasks;
-  if (!pooled) {
-    // Per-task enumeration with immediate application, in the same
-    // (rule, scope, item-order) the pooled replay reproduces.
-    for (const IncTask& t : inc_tasks_) {
-      RuleJoiner* joiner = scopes_[t.rule][t.scope].joiner.get();
-      std::pair<int, uint32_t> seed_arr[2] = {{t.lvar, t.lrow},
-                                              {t.rvar, t.rrow}};
-      JoinCounters before = joiner->counters();
-      joiner->EnumerateSeeded(seed_arr,
-                              [&](const std::vector<uint32_t>& rows,
-                                  const std::vector<int>& unsat) {
-                                HandleValuation(t.rule, joiner, rows, unsat,
-                                                round_out);
-                                return true;
-                              });
-      AddJoinCounters(&stats_, joiner->counters() - before);
-    }
-    return;
-  }
-
-  // Chunks are contiguous runs of tasks sharing a (rule, scope), so each
-  // hands its private joiner a single seeded plan. Prewarm each distinct
-  // scope joiner so chunk tasks only ever read the shared indices.
-  const size_t shards = static_cast<size_t>(options_.enumeration_shards);
-  const size_t target =
-      std::max<size_t>(1, (inc_tasks_.size() + shards - 1) / shards);
-  std::vector<RecordJob> chunks;
-  for (size_t lo = 0; lo < inc_tasks_.size();) {
-    const IncTask& head = inc_tasks_[lo];
-    if (lo == 0 || head.rule != inc_tasks_[lo - 1].rule ||
-        head.scope != inc_tasks_[lo - 1].scope) {
-      scopes_[head.rule][head.scope].joiner->PrewarmIndexes();
-    }
-    size_t hi = lo + 1;
-    while (hi < inc_tasks_.size() && hi - lo < target &&
-           inc_tasks_[hi].rule == head.rule &&
-           inc_tasks_[hi].scope == head.scope) {
-      ++hi;
-    }
-    chunks.push_back({head.rule, head.scope, lo, hi});
-    lo = hi;
-  }
-  RecordAndReplay(
-      &chunks,
-      [this](const RecordJob& chunk, RuleJoiner* chunk_joiner,
-             const RuleJoiner::Callback& record) {
-        for (size_t i = chunk.begin; i < chunk.end; ++i) {
-          const IncTask& t = inc_tasks_[i];
-          std::pair<int, uint32_t> seed_arr[2] = {{t.lvar, t.lrow},
-                                                  {t.rvar, t.rrow}};
-          chunk_joiner->EnumerateSeeded(seed_arr, record);
-        }
-      },
-      round_out);
-}
-
 void ChaseEngine::IncDeduce(const Delta& seeds, Delta* out) {
   DCER_TRACE("chase.inc_deduce");
   // Fast path: while H has never dropped, it is complete — the full
@@ -571,16 +415,28 @@ void ChaseEngine::IncDeduce(const Delta& seeds, Delta* out) {
 
     inc_bindings_.clear();
     BuildIncRoundTasks();
-    // Group the round's re-joins: (rule, scope, item-order) is the order
-    // both execution paths reproduce, and grouping is what lets the pooled
-    // path hand each chunk a single seeded plan.
+    // Group the round's re-joins by (rule, scope), item order kept within a
+    // group: H's contents and the pinned counters follow this order.
     std::stable_sort(inc_tasks_.begin(), inc_tasks_.end(),
                      [](const IncTask& x, const IncTask& y) {
                        return x.rule != y.rule ? x.rule < y.rule
                                                : x.scope < y.scope;
                      });
     Delta round;
-    ExecuteIncRoundTasks(&round);
+    for (const IncTask& t : inc_tasks_) {
+      RuleJoiner* joiner = scopes_[t.rule][t.scope].joiner.get();
+      std::pair<int, uint32_t> seed_arr[2] = {{t.lvar, t.lrow},
+                                              {t.rvar, t.rrow}};
+      JoinCounters before = joiner->counters();
+      joiner->EnumerateSeeded(seed_arr,
+                              [&](const std::vector<uint32_t>& rows,
+                                  const std::vector<int>& unsat) {
+                                HandleValuation(t.rule, joiner, rows, unsat,
+                                                &round);
+                                return true;
+                              });
+      AddJoinCounters(&stats_, joiner->counters() - before);
+    }
     out->Append(round);
     // Semi-naive: only what this round newly derived seeds the next one.
     inc_next_.Clear();

@@ -1,7 +1,6 @@
 #ifndef DCER_CHASE_DEDUCE_H_
 #define DCER_CHASE_DEDUCE_H_
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <unordered_set>
@@ -32,17 +31,6 @@ class ChaseEngine {
     /// ablation (Fig. 6(e)-(h)) sets this false and pays per-rule index
     /// construction.
     bool share_indices = true;
-    /// Intra-engine parallel enumeration. When `pool` is set and a scope's
-    /// root-candidate list has at least `min_parallel_root` entries, Deduce
-    /// splits the list into `enumeration_shards` contiguous slices, each
-    /// enumerated by a pool task with a private RuleJoiner against a frozen
-    /// context snapshot, and merges the recorded valuations sequentially in
-    /// (shard, discovery-order) — bit-identical to sequential Deduce (the
-    /// valuation set is context-independent; stale unsat entries are
-    /// re-checked at merge). nullptr keeps Deduce fully sequential.
-    ThreadPool* pool = nullptr;
-    int enumeration_shards = 1;
-    size_t min_parallel_root = 64;
     /// Similarity-index candidate generation for ML predicates: a bound
     /// side probes a sound candidate index over the other side's relation
     /// instead of enumerating the full cross product. Only predicates whose
@@ -54,20 +42,17 @@ class ChaseEngine {
     /// reads it. nullptr keeps every ML path on the per-pair text kernels.
     /// Bit-identical results either way.
     const ProfileStore* profiles = nullptr;
-    /// IncDeduce rounds with at least this many re-joins record them on
-    /// `pool` against a frozen snapshot and merge in (rule, scope,
-    /// item-order); smaller rounds (and every round without a pool) apply
-    /// each re-join inline in that same order. Identical results.
-    size_t min_parallel_inc_tasks = 32;
   };
 
   /// The single mapping from the shared EngineOptions knobs onto engine
   /// options. Every entry point (engine::Match, the DMatch workers, the
   /// Resolver) builds its engine through this, so a knob cannot
-  /// drift between the sequential and parallel paths. `pool` is used (with
-  /// 2 × threads enumeration shards, oversplit so stealing can rebalance
-  /// skewed shards) only when eo.threads > 1.
-  static Options FromEngineOptions(const EngineOptions& eo, ThreadPool* pool);
+  /// drift between the sequential and parallel paths. The engine is
+  /// single-threaded; the unnamed pool parameter is read by nothing and
+  /// stays only so perfbench/ keeps compiling until it can drop the
+  /// argument.
+  static Options FromEngineOptions(const EngineOptions& eo,
+                                   ThreadPool* = nullptr);
 
   /// Evaluates every rule over `view`: the scoped form below with one
   /// block per rule, that block being `view` itself (so rows the owner
@@ -100,12 +85,11 @@ class ChaseEngine {
   /// Update-driven pass (Fig. 4), run as a batched semi-naive fixpoint:
   /// the seeds (which must already be applied to the context) form round 1's
   /// frontier; each round dedups its frontier against the facts already
-  /// re-joined this call, groups the surviving re-joins by (rule, scope),
-  /// records their enumerations against the context frozen at round start
-  /// (in parallel on Options::pool when configured) and merges the recorded
-  /// valuations in (rule, scope, item-order); everything newly derived
-  /// becomes the next round's frontier. Newly deduced facts are appended to
-  /// *out. When the dependency store has never dropped (num_dropped() == 0),
+  /// re-joined this call, groups the surviving re-joins by (rule, scope)
+  /// and runs them in (rule, scope, item-order), applying each valuation as
+  /// it is found; everything newly derived becomes the next round's
+  /// frontier. Newly deduced facts are appended to *out. When the
+  /// dependency store has never dropped (num_dropped() == 0),
   /// the pass returns immediately: every valuation blocked on id/ML
   /// predicates was recorded in H by the full enumeration passes, so firing
   /// H (which the caller already did by applying the seeds) IS the fixpoint
@@ -156,34 +140,6 @@ class ChaseEngine {
                        const std::vector<uint32_t>& rows,
                        const std::vector<int>& unsat, Delta* delta);
 
-  // Parallel enumeration of one scope (see Options::pool). Returns false
-  // when the scope should fall back to the sequential path (no pool, or the
-  // root candidate list is too small to be worth forking).
-  bool ParallelEnumerate(size_t rule_idx, uint32_t scope_idx, Delta* delta);
-
-  // One pool task of record-then-merge: a slice [begin, end) of its scope's
-  // root candidates or of inc_tasks_, and the leaf valuations it recorded —
-  // flat rows at the rule's stride plus length-prefixed unsat runs
-  // ([len, idx...] per valuation), so recording never allocates per leaf.
-  struct RecordJob {
-    uint32_t rule = 0, scope = 0;
-    size_t begin = 0, end = 0;
-    std::vector<uint32_t> rows{};
-    std::vector<int> unsat{};
-    JoinCounters counters{};
-  };
-  using JobEnumerator = std::function<void(
-      const RecordJob&, RuleJoiner*, const RuleJoiner::Callback& record)>;
-  // Record-then-merge, shared by parallel Deduce and IncDeduce: each job
-  // runs on the pool with a private read-only joiner over its scope
-  // (`enumerate` drives it into `record`) against the context frozen here;
-  // then this thread — the only writer, strictly after Wait — replays the
-  // jobs in order, re-checking recorded unsat entries (a snapshot superset)
-  // with LeafHolds before HandleValuation. The result is exactly the
-  // HandleValuation sequence of inline enumeration in the same order.
-  void RecordAndReplay(std::vector<RecordJob>* jobs,
-                       const JobEnumerator& enumerate, Delta* delta);
-
   // Sets stats_.indices_built / ml_indices_built to the indices built so
   // far; called after every pass that can build indices lazily.
   void CountIndices();
@@ -214,20 +170,13 @@ class ChaseEngine {
   // Expands the current frontier into inc_tasks_ (dedup, feasibility,
   // orientation matching).
   void BuildIncRoundTasks();
-  // Runs inc_tasks_ (grouped by (rule, scope)) and appends everything newly
-  // derived to *round_out: large rounds through RecordAndReplay on the
-  // pool, small ones inline with immediate application. Both orders are
-  // (rule, scope, item-order), so results and stats are identical (see
-  // DESIGN.md "Delta-driven fixpoint").
-  void ExecuteIncRoundTasks(Delta* round_out);
 
   const DatasetView* view_;
   const RuleSet* rules_;
   const MlRegistry* registry_;
   MatchContext* ctx_;
   Options options_;
-  const bool scoped_;        // built over RuleBlocks (a DMatch worker)
-  MlIndexPolicy ml_policy_;  // shared by scope joiners and shard joiners
+  const bool scoped_;  // built over RuleBlocks (a DMatch worker)
   DependencyStore deps_;
   ChaseStats stats_;
 

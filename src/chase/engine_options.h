@@ -12,7 +12,8 @@ namespace dcer {
 /// and ResolverOptions all inherit this, and all map it onto
 /// ChaseEngine::Options through the same helper
 /// (ChaseEngine::FromEngineOptions). Every knob here changes cost, never
-/// Γ or E_id.
+/// Γ or E_id. Each chase runs on one thread; DMatch's BSP workers are the
+/// only multi-core path (DESIGN.md "Parallel execution model").
 struct EngineOptions {
   /// Capacity K of the dependency set H (per worker under DMatch). Dropped
   /// dependencies only cost re-joins, never results.
@@ -20,11 +21,6 @@ struct EngineOptions {
   /// MQO on/off: shared inverted indices in the chase (and shared HyPart
   /// hash functions under DMatch). Off = the DMatch_noMQO ablation.
   bool use_mqo = true;
-  /// Pool threads used to split a chase's join enumeration and its large
-  /// IncDeduce rounds (per worker under DMatch). 1 = fully single-threaded
-  /// chase, as in the paper's BSP model. Any value yields bit-identical
-  /// results; see DESIGN.md "Parallel execution model".
-  int threads = 1;
   /// Similarity-index candidate generation for ML predicates (see DESIGN.md
   /// "ML candidate indices"): token/q-gram indices turn Jaccard and
   /// edit-similarity predicates into index probes instead of cross-product

@@ -55,12 +55,6 @@ class DatasetIndex {
   /// Number of (relation, attribute) indices built so far (MQO metric).
   size_t num_indices_built() const { return num_built_; }
 
-  /// Builds the (rel, attr) index now if absent. Lookup mutates this object
-  /// on first use of an index; pre-building every index an enumeration can
-  /// touch makes subsequent concurrent Lookups read-only and thus safe to
-  /// issue from parallel shard tasks.
-  void EnsureBuilt(size_t rel, size_t attr) { GetOrBuild(rel, attr); }
-
   /// Registers a row newly appended to the view in every already-built
   /// index of its relation (incremental ER over updates ΔD). The caller
   /// must have added the row to the view, and profiled its ML cells
@@ -83,13 +77,6 @@ class DatasetIndex {
   const MlCandidateIndex* GetOrBuildMl(const MlClassifier& classifier,
                                        int ml_id, size_t rel,
                                        const std::vector<int>& attrs);
-
-  /// GetOrBuildMl for its side effect (see EnsureBuilt: prewarming makes
-  /// concurrent Probe calls from enumeration shards read-only).
-  void EnsureMlBuilt(const MlClassifier& classifier, int ml_id, size_t rel,
-                     const std::vector<int>& attrs) {
-    GetOrBuildMl(classifier, ml_id, rel, attrs);
-  }
 
   /// Number of ML candidate indices built so far (includes rebuilds).
   size_t num_ml_indices_built() const { return num_ml_built_; }

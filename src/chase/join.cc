@@ -48,7 +48,7 @@ RuleJoiner::RuleJoiner(DatasetIndex* index, const Rule* rule,
     : index_(index), rule_(rule), registry_(registry), ctx_(ctx),
       roles_(roles) {
   size_t n = rule_->num_vars();
-  assert(n <= 64 && "binding plans are keyed by a 64-bit variable mask");
+  assert(n <= Rule::kMaxVars && "plans are keyed by a 64-bit variable mask");
   assert(roles_.empty() || roles_.size() == n);
   const_preds_.resize(n);
   self_eqs_.resize(n);
@@ -154,8 +154,7 @@ bool RuleJoiner::EvalIdOrMl(int pred_index,
   if (p.kind == PredicateKind::kIdEq) {
     Gid a = GidOf(p.lhs.var, rows[p.lhs.var]);
     Gid b = GidOf(p.rhs.var, rows[p.rhs.var]);
-    return shared_context_reads_ ? ctx_->MatchedShared(a, b)
-                                 : ctx_->Matched(a, b);
+    return ctx_->Matched(a, b);
   }
   Fact f = MlFactFor(p, rows);
   const uint64_t key = f.Key();
@@ -179,35 +178,6 @@ bool RuleJoiner::EvalIdOrMl(int pred_index,
   FillMlValues(p.rhs.var, p.rhs_ml_attrs, rows[p.rhs.var], &ml_scratch_b_);
   return registry_->PredictAndCache(p.ml_id, key, ml_scratch_a_,
                                     ml_scratch_b_);
-}
-
-bool RuleJoiner::LeafHolds(int pred_index,
-                           const std::vector<uint32_t>& rows) {
-  return EvalIdOrMl(pred_index, rows);
-}
-
-void RuleJoiner::PrewarmIndexes() {
-  for (const Predicate* p : cross_eqs_) {
-    index_->EnsureBuilt(rule_->var_relation(p->lhs.var), p->lhs.attr);
-    index_->EnsureBuilt(rule_->var_relation(p->rhs.var), p->rhs.attr);
-  }
-  for (size_t v = 0; v < const_preds_.size(); ++v) {
-    for (const Predicate* p : const_preds_[v]) {
-      index_->EnsureBuilt(rule_->var_relation(static_cast<int>(v)),
-                          p->lhs.attr);
-    }
-  }
-  // Both orientations: which side probes depends on the binding order of
-  // the (possibly seeded) plan in effect when the predicate is reached.
-  for (int i : leaf_preds_) {
-    if (!ml_prunable_[i]) continue;
-    const Predicate& p = rule_->preconditions()[i];
-    const MlClassifier& clf = registry_->classifier(p.ml_id);
-    index_->EnsureMlBuilt(clf, p.ml_id, rule_->var_relation(p.lhs.var),
-                          p.lhs_ml_attrs);
-    index_->EnsureMlBuilt(clf, p.ml_id, rule_->var_relation(p.rhs.var),
-                          p.rhs_ml_attrs);
-  }
 }
 
 bool RuleJoiner::RowSatisfiesLocalPreds(int var, uint32_t row) const {
@@ -523,8 +493,7 @@ void RuleJoiner::BatchFillMlPredictions(
   }
 }
 
-void RuleJoiner::ForRows(const std::vector<uint32_t>& all_candidates,
-                         size_t lo, size_t hi, int var,
+void RuleJoiner::ForRows(const std::vector<uint32_t>& all_candidates, int var,
                          const std::vector<Constraint>& constraints,
                          size_t lookup_used, const Callback& cb, bool* stop) {
   const Relation& relation =
@@ -537,33 +506,34 @@ void RuleJoiner::ForRows(const std::vector<uint32_t>& all_candidates,
     const Bitmap& role = roles_[var];
     std::vector<uint32_t>& kept = role_scratch_[var];
     kept.clear();
-    for (size_t i = lo; i < hi; ++i) {
-      if (role.Test(all_candidates[i])) kept.push_back(all_candidates[i]);
+    for (uint32_t row : all_candidates) {
+      if (role.Test(row)) kept.push_back(row);
     }
     candidates = &kept;
-    lo = 0;
-    hi = kept.size();
   }
   // Drop the row of var's bound consequence partner: a tuple never matches
-  // itself. `skip` is its position in [lo, hi), or hi when absent.
-  size_t skip = hi;
+  // itself. `skip` is its position in the candidates, or `end` when absent.
+  const size_t end = candidates->size();
+  size_t skip = end;
   if (const int partner = distinct_partner_[var];
       partner >= 0 && bound_[partner]) {
-    skip = std::find(candidates->begin() + lo, candidates->begin() + hi,
+    skip = std::find(candidates->begin(), candidates->end(),
                      binding_[partner]) -
            candidates->begin();
   }
-  counters_.candidates_probed += hi - lo - (skip < hi ? 1 : 0);
+  counters_.candidates_probed += end - (skip < end ? 1 : 0);
   // Last variable with nothing filtering the rows below: every candidate
   // reaches the leaf, so its ML predicates can be evaluated one-vs-many
   // before the loop instead of pair-by-pair inside it.
   const bool batched = num_bound_ == rule_->num_vars() &&
                        constraints.empty() && self_eqs_[var].empty();
   if (batched) {
-    if (skip > lo) BatchFillMlPredictions(var, *candidates, lo, skip);
-    if (hi > skip + 1) BatchFillMlPredictions(var, *candidates, skip + 1, hi);
+    if (skip > 0) BatchFillMlPredictions(var, *candidates, 0, skip);
+    if (end > skip + 1) {
+      BatchFillMlPredictions(var, *candidates, skip + 1, end);
+    }
   }
-  for (size_t i = lo; i < hi; ++i) {
+  for (size_t i = 0; i < end; ++i) {
     if (i == skip) continue;
     uint32_t row = (*candidates)[i];
     // Verify remaining constraints (the lookup enforced only one): a
@@ -622,50 +592,21 @@ void RuleJoiner::Backtrack(const Callback& cb, bool* stop) {
 
   bound_[step.var] = true;
   ++num_bound_;
-  ForRows(*candidates, 0, candidates->size(), step.var, *constraints,
-          lookup_used, cb, stop);
+  ForRows(*candidates, step.var, *constraints, lookup_used, cb, stop);
   binding_[step.var] = kInvalidGid;
   bound_[step.var] = false;
   --num_bound_;
 }
 
 void RuleJoiner::Enumerate(const Callback& cb) {
-  EnumerateRange(0, SIZE_MAX, cb);
-}
-
-size_t RuleJoiner::RootCandidateCount() {
-  if (root_plan_.empty()) return 0;
-  std::vector<Constraint>* constraints = nullptr;
-  size_t lookup_used = 0;
-  const std::vector<uint32_t>* candidates =
-      CandidatesFor(root_plan_[0], 0, &constraints, &lookup_used);
-  return candidates == nullptr ? 0 : candidates->size();
-}
-
-void RuleJoiner::EnumerateRange(size_t begin, size_t end, const Callback& cb) {
   if (root_plan_.empty()) return;
   std::fill(bound_.begin(), bound_.end(), false);
   std::fill(binding_.begin(), binding_.end(), kInvalidGid);
   num_bound_ = 0;
   active_plan_ = &root_plan_;
   plan_base_ = 0;
-
-  const BindStep& step = root_plan_[0];
-  std::vector<Constraint>* constraints = nullptr;
-  size_t lookup_used = 0;
-  const std::vector<uint32_t>* candidates =
-      CandidatesFor(step, 0, &constraints, &lookup_used);
-  if (candidates == nullptr) return;
-  size_t hi = std::min(end, candidates->size());
-  size_t lo = std::min(begin, hi);
-
-  bound_[step.var] = true;
-  num_bound_ = 1;
   bool stop = false;
-  ForRows(*candidates, lo, hi, step.var, *constraints, lookup_used, cb, &stop);
-  binding_[step.var] = kInvalidGid;
-  bound_[step.var] = false;
-  num_bound_ = 0;
+  Backtrack(cb, &stop);
 }
 
 void RuleJoiner::EnumerateSeeded(

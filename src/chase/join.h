@@ -38,14 +38,12 @@ std::unordered_set<uint64_t> ReadMlKeys(const RuleSet& rules);
 struct MlIndexPolicy {
   /// Master switch (MatchOptions::ml_index).
   bool enabled = false;
-  /// DerivableMlKeys of the rule set; shared across every joiner of a chase
-  /// (including the transient per-shard joiners of parallel enumeration).
+  /// DerivableMlKeys of the rule set; shared across every joiner of a chase.
   std::shared_ptr<const std::unordered_set<uint64_t>> derivable;
 };
 
 /// Per-joiner work counters: plain integers, no atomics — each joiner is
-/// owned by one thread, and the parallel Deduce merges shard counters in
-/// shard order, so every field is deterministic under any thread count.
+/// owned by one thread, so every field is deterministic.
 struct JoinCounters {
   uint64_t valuations_checked = 0;  // leaf valuations inspected
   uint64_t candidates_probed = 0;   // candidate rows iterated by the join
@@ -111,18 +109,6 @@ class RuleJoiner {
   /// Enumerates all valuations.
   void Enumerate(const Callback& cb);
 
-  /// Number of candidate rows of the root variable (the first in the
-  /// precomputed binding order) after its constant-predicate index lookups.
-  /// Pure function of the rule and view; used to size parallel shards.
-  size_t RootCandidateCount();
-
-  /// Enumerates only the valuations that extend root candidates with index
-  /// in [begin, end): shard `s` of a partition of [0, RootCandidateCount())
-  /// sees exactly the contiguous slice Enumerate would visit `s`-th, so
-  /// concatenating shard outputs in shard order reproduces Enumerate's
-  /// sequence. Used by the parallel Deduce, one private joiner per shard.
-  void EnumerateRange(size_t begin, size_t end, const Callback& cb);
-
   /// Enumerates valuations with the given variables pre-bound (update-driven
   /// re-joins of IncDeduce). Seed rows must be rows of the view's relations;
   /// seeds violating the rule's constant/self-equality predicates yield
@@ -130,29 +116,11 @@ class RuleJoiner {
   void EnumerateSeeded(std::span<const std::pair<int, uint32_t>> seeds,
                        const Callback& cb);
 
-  /// Re-evaluates leaf precondition `pred_index` (an id/ML predicate of this
-  /// rule) under explicit rows against the *current* context. The parallel
-  /// Deduce merge uses this to drop unsat entries that earlier merged facts
-  /// have satisfied since the shard snapshot.
-  bool LeafHolds(int pred_index, const std::vector<uint32_t>& rows);
-
-  /// Builds every inverted index this rule's enumeration can touch, so that
-  /// concurrent shard enumerations only ever read the shared DatasetIndex.
-  /// Includes the ML candidate indices of prunable predicates.
-  void PrewarmIndexes();
-
   /// Enables/disables ML candidate generation and recomputes the binding
   /// plans (prunable ML predicates count as join links, so they change both
   /// variable order and per-step candidate sources). Must be called before
   /// enumeration; joiners default to no ML indexing.
   void ConfigureMlIndex(MlIndexPolicy policy);
-
-  /// Switches leaf id-checks to the compression-free MatchContext read path,
-  /// which is safe for concurrent readers of a frozen context. Set on the
-  /// private per-shard joiners of the parallel Deduce.
-  void set_shared_context_reads(bool shared) {
-    shared_context_reads_ = shared;
-  }
 
   /// Leaf valuations inspected (the paper's computation-cost metric).
   uint64_t valuations_checked() const { return counters_.valuations_checked; }
@@ -200,8 +168,8 @@ class RuleJoiner {
       // DatasetIndex's ml_generation and the classifier's current threshold
       // (either can invalidate — a rebuild destroys the pointed-to index).
       // cached_gen == 0 means unresolved. mutable: plans are logically
-      // const after construction, and each joiner (scope or shard) is owned
-      // by one thread, so the cache never races.
+      // const after construction, and each joiner is owned by one thread,
+      // so the cache never races.
       mutable const MlCandidateIndex* cached = nullptr;
       mutable uint64_t cached_gen = 0;
       mutable double cached_threshold = 0;
@@ -212,11 +180,11 @@ class RuleJoiner {
   using BindPlan = std::vector<BindStep>;
 
   void Backtrack(const Callback& cb, bool* stop);
-  // Iterates rows [lo, hi) of `candidates` for `var` (already marked bound),
-  // checking the non-lookup constraints and self-equalities, and recurses.
-  void ForRows(const std::vector<uint32_t>& candidates, size_t lo, size_t hi,
-               int var, const std::vector<Constraint>& constraints,
-               size_t lookup_used, const Callback& cb, bool* stop);
+  // Iterates `candidates` for `var` (already marked bound), checking the
+  // non-lookup constraints and self-equalities, and recurses.
+  void ForRows(const std::vector<uint32_t>& candidates, int var,
+               const std::vector<Constraint>& constraints, size_t lookup_used,
+               const Callback& cb, bool* stop);
   // Candidate rows for binding `var` at `depth`: the shortest posting list
   // among its constraints, or a full scan. nullptr when a NULL-valued
   // constraint empties the candidate set. Fills *constraints (backed by
@@ -275,7 +243,7 @@ class RuleJoiner {
   std::vector<char> ml_prunable_;
 
   // Binding plans: root_plan_ serves Enumerate; seeded enumerations memoize
-  // per seeded-variable bitmask (rules have ≤ 64 variables).
+  // per seeded-variable bitmask (rules have ≤ Rule::kMaxVars variables).
   BindPlan root_plan_;
   std::unordered_map<uint64_t, BindPlan> plan_cache_;
   const BindPlan* active_plan_ = nullptr;
@@ -286,7 +254,6 @@ class RuleJoiner {
   std::vector<bool> bound_;
   size_t num_bound_ = 0;
   JoinCounters counters_;
-  bool shared_context_reads_ = false;
 
   // Hot-path scratch, reused across nodes/leaves to avoid allocation.
   std::vector<std::vector<Constraint>> constraint_scratch_;  // per depth

@@ -1,6 +1,5 @@
 #include "chase/match.h"
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -48,7 +47,7 @@ MatchReport engine::Match(const DatasetView& view, const RuleSet& rules,
 
   const DatasetProfiles profiles(view.dataset(), rules, options.ml_profiles);
   ChaseEngine::Options engine_options =
-      ChaseEngine::FromEngineOptions(options, &ThreadPool::Global());
+      ChaseEngine::FromEngineOptions(options);
   engine_options.profiles = profiles.store();
   ChaseEngine engine(&view, &rules, &registry, ctx, engine_options);
 

@@ -31,11 +31,6 @@ class MatchContext {
   /// True iff (a.id, b.id) ∈ Γ (reflexive and transitive by construction).
   bool Matched(Gid a, Gid b) const { return eid_.Same(a, b); }
 
-  /// Matched() without path compression: performs no writes, so concurrent
-  /// readers are safe while the context is frozen (no Apply in flight).
-  /// Parallel enumeration shards use this.
-  bool MatchedShared(Gid a, Gid b) const { return eid_.SameNoCompress(a, b); }
-
   /// True iff this ML prediction was validated by some rule's consequence.
   bool IsValidatedMl(uint64_t ml_key) const {
     return validated_ml_.count(ml_key) > 0;

@@ -27,9 +27,9 @@ class TaskGroup;
 /// joining std::threads per round is exactly the churn this class removes.
 ///
 /// Determinism: the pool executes tasks in a nondeterministic order, so
-/// callers that need reproducible output (the chase) split work into a
-/// deterministic number of ordered shards, buffer per-shard results, and
-/// merge them by shard index afterwards (see ChaseEngine::Deduce).
+/// callers that need reproducible output split work into a deterministic
+/// number of ordered tasks, buffer per-task results, and merge them by task
+/// index afterwards (see Master::Dispatch and the DMatch supersteps).
 class ThreadPool {
  public:
   /// Spawns `num_threads` worker threads (clamped to >= 1).

@@ -36,15 +36,10 @@ class UnionFind {
 
   /// Root of x's class without path compression: performs no writes, so any
   /// number of threads may call it concurrently as long as nobody runs
-  /// Union/Find/Reset/Grow. Used by parallel enumeration shards that read a
-  /// frozen match context.
+  /// Union/Find/Reset/Grow. GammaSnapshot reads roots through it.
   uint32_t FindNoCompress(uint32_t x) const {
     while (parent_[x] != x) x = parent_[x];
     return x;
-  }
-
-  bool SameNoCompress(uint32_t a, uint32_t b) const {
-    return FindNoCompress(a) == FindNoCompress(b);
   }
 
   /// Merges the classes of a and b. Returns true if they were distinct.

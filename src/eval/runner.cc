@@ -36,7 +36,7 @@ const char* MethodName(Method method) {
 }
 
 RunResult RunMethod(Method method, const GenDataset& gd, int num_workers,
-                    uint64_t seed, int threads) {
+                    uint64_t seed) {
   RunResult result;
   Timer timer;
 
@@ -47,7 +47,6 @@ RunResult RunMethod(Method method, const GenDataset& gd, int num_workers,
     ResolverOptions options;
     options.num_workers = workers;
     options.use_mqo = use_mqo;
-    options.threads = threads;
     auto resolver = Resolver::OpenBorrowed(gd.dataset, rules, &gd.registry,
                                            options);
     if (const DMatchReport* report = resolver->dmatch_report()) {

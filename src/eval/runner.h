@@ -36,12 +36,9 @@ struct RunResult {
 };
 
 /// Runs `method` on the workload and scores it against the ground truth.
-/// `num_workers` applies to the parallel methods; `threads` (the
-/// EngineOptions knob) additionally splits each DMatch worker's join
-/// enumeration over the shared thread pool (results are identical for
-/// every value).
+/// `num_workers` applies to the parallel methods.
 RunResult RunMethod(Method method, const GenDataset& gd, int num_workers,
-                    uint64_t seed = 7, int threads = 1);
+                    uint64_t seed = 7);
 
 }  // namespace dcer
 

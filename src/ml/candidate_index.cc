@@ -292,8 +292,8 @@ void GramsOf(std::string_view text, size_t q, std::vector<uint64_t>* out) {
 }
 
 // Per-thread row-keyed counter with stamp invalidation: clearing between
-// probes is O(touched rows), and concurrent probes from enumeration shards
-// never share state.
+// probes is O(touched rows), and concurrent probes from DMatch workers never
+// share state.
 struct RowCounter {
   std::vector<uint32_t> stamp;
   std::vector<uint32_t> count;

@@ -42,8 +42,8 @@ struct ProfileSource {
 ///
 /// Thread-safety: building and Add() mutate; Probe() is const and safe to
 /// call concurrently (implementations keep scratch in thread-local storage).
-/// The chase prewarms indices before fanning enumeration out to shards,
-/// mirroring DatasetIndex::EnsureBuilt.
+/// Each index belongs to one engine's DatasetIndex, which builds it lazily
+/// on the engine's thread.
 class MlCandidateIndex {
  public:
   virtual ~MlCandidateIndex() = default;

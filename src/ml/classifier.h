@@ -91,7 +91,7 @@ class MlClassifier {
 /// Embeddings are memoized per concatenated text: the chase scores each
 /// tuple against many candidates, and hashing the n-grams of the same text
 /// over and over dominated cold-prediction time. The memo is shared-lock
-/// protected (concurrent Score calls from BSP workers / enumeration shards).
+/// protected (concurrent Score calls from BSP workers).
 class EmbeddingCosineClassifier : public MlClassifier {
  public:
   EmbeddingCosineClassifier(std::string name, double threshold = 0.8,

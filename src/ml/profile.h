@@ -38,7 +38,7 @@ namespace dcer {
 /// exclusive phases (see DatasetProfiles: before any engine over the
 /// dataset runs, and between appends). Find()/tokens()/gram_*() are
 /// read-only and safe from any number of concurrent readers — DMatch
-/// workers and enumeration shards — while no mutation runs.
+/// workers — while no mutation runs.
 class ProfileStore {
  public:
   /// Sentinel intern id: "no string here" (NULL cell). Equals

@@ -61,8 +61,7 @@ class PredictionCache {
 /// memoizes their predictions. ML predicates are pure functions of their
 /// attribute vectors, so the chase may ask about the same pair many times
 /// (once per rule and superstep); the lock-free cache makes repeats cheap
-/// and keeps parallel workers and intra-worker enumeration shards from
-/// serializing on mutexes.
+/// and keeps parallel workers from serializing on mutexes.
 class MlRegistry {
  public:
   MlRegistry() = default;

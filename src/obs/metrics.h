@@ -141,7 +141,7 @@ struct MetricsSnapshot {
 
   /// Counters, gauges and count-unit histograms equal; timing (kNanos)
   /// histograms ignored. This is the relation the determinism tests assert
-  /// across `threads` settings.
+  /// across DMatch's `run_parallel` settings.
   bool DeterministicEquals(const MetricsSnapshot& other) const;
 
   bool empty() const {

@@ -12,10 +12,9 @@ namespace dcer {
 class JsonWriter;
 
 /// Counters exposed by the chase (computation-cost metrics of Sec. VI).
-/// Every field is deterministic for a given input under any `threads`
-/// setting — the parallel enumeration merges
-/// per-shard counts in shard order, and shard boundaries are a pure function
-/// of the rule and view.
+/// Every field is deterministic for a given input: each engine runs on one
+/// thread, and DMatch sums its workers' stats, so the totals are the same
+/// whether the workers run on the pool or one after another (run_parallel).
 struct ChaseStats {
   uint64_t valuations = 0;      // leaf valuations inspected (emitted joins)
   uint64_t matches = 0;         // direct id facts applied
@@ -47,8 +46,8 @@ struct ChaseStats {
 
   /// Adds every field into the global metrics registry as "chase.*"
   /// counters. Called once per run from a single thread after the chase
-  /// finishes, so the registry stays deterministic regardless of how many
-  /// threads produced the stats.
+  /// finishes, so the registry stays deterministic however the workers
+  /// that produced the stats were scheduled.
   void AddToRegistry() const;
 };
 
@@ -85,7 +84,8 @@ struct SuperstepStats {
 /// contributed, serialized by a single ToJson. Timing fields and the
 /// "cache"/"timings" JSON sections are excluded from the determinism
 /// contract (the striped ML prediction cache is lossy under concurrency);
-/// everything else is bit-identical across thread counts.
+/// everything else is bit-identical whether DMatch's workers run on the
+/// pool or one after another.
 struct RunReport {
   ChaseStats chase;
   uint64_t matched_pairs = 0;

@@ -115,7 +115,7 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
     profiles = &own_profiles.emplace(dataset, rules, options.ml_profiles);
   }
   ChaseEngine::Options engine_options =
-      ChaseEngine::FromEngineOptions(options, &pool);
+      ChaseEngine::FromEngineOptions(options);
   engine_options.profiles = profiles->store();
 
   std::vector<std::unique_ptr<Worker>> workers;

@@ -10,14 +10,10 @@
 namespace dcer {
 
 /// Configuration of parallel algorithm DMatch (Sec. V-B). The engine knobs
-/// shared with the sequential Match (dependency_capacity, use_mqo, threads,
-/// ml_index, ml_profiles) live in the EngineOptions base;
-/// `threads` here means intra-worker parallelism — each worker's join
-/// enumeration splits into 2 × threads pool shards (see
-/// ChaseEngine::Options::pool). Results are bit-identical for every value.
-/// Total hardware-thread demand is roughly num_workers × threads when
-/// run_parallel is set, or just `threads` when workers are simulated
-/// sequentially.
+/// shared with the sequential Match (dependency_capacity, use_mqo,
+/// ml_index, ml_profiles) live in the EngineOptions base. Each worker runs
+/// a single-threaded chase over its fragment: the workers, run on the pool
+/// when run_parallel is set, are the parallelism.
 struct DMatchOptions : EngineOptions {
   int num_workers = 4;
   /// Virtual blocks + LPT skew reduction in HyPart.

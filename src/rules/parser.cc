@@ -211,6 +211,10 @@ class RuleParser {
     if (rule_->VarIndex(var) >= 0) {
       return Err(var_tok, "duplicate variable '" + var + "'");
     }
+    if (rule_->num_vars() == Rule::kMaxVars) {
+      return Err(var_tok, "more than " + std::to_string(Rule::kMaxVars) +
+                              " tuple variables");
+    }
     rule_->AddVariable(std::move(var), rel);
     return Status::OK();
   }

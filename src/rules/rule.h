@@ -1,6 +1,7 @@
 #ifndef DCER_RULES_RULE_H_
 #define DCER_RULES_RULE_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,10 @@ namespace dcer {
 /// predicate or an ML predicate.
 class Rule {
  public:
+  /// Most tuple variables a rule may declare: the joiner keys its binding
+  /// plans by a 64-bit mask of bound variables. ParseRule refuses more.
+  static constexpr size_t kMaxVars = 64;
+
   Rule() = default;
 
   const std::string& name() const { return name_; }

@@ -2,7 +2,6 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -108,7 +107,7 @@ std::unique_ptr<Resolver> Resolver::OpenBorrowed(const Dataset& dataset,
 MatchReport Resolver::BuildEngine() {
   view_ = std::make_unique<DatasetView>(DatasetView::Full(*dataset_));
   ChaseEngine::Options engine_options =
-      ChaseEngine::FromEngineOptions(options_, &ThreadPool::Global());
+      ChaseEngine::FromEngineOptions(options_);
   engine_options.profiles = profiles_.store();
   engine_ = std::make_unique<ChaseEngine>(view_.get(), &rules_, registry_,
                                           ctx_.get(), engine_options);

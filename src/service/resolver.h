@@ -13,8 +13,8 @@
 namespace dcer {
 
 /// Knobs of an open resolver. The EngineOptions base carries everything the
-/// chase itself understands (dependency capacity, MQO, intra-chase threads,
-/// ML indices and profiles); the fields here select the
+/// chase itself understands (dependency capacity, MQO, ML indices and
+/// profiles); the fields here select the
 /// execution strategy around it. With `num_workers == 0` the initial
 /// fixpoint runs the sequential chase in-process; with `num_workers > 0` it
 /// runs the BSP DMatch (HyPart partitioning, supersteps, master routing) and
@@ -26,6 +26,9 @@ struct ResolverOptions : EngineOptions {
   bool run_parallel = true;
   /// Record rule/fact provenance in the match context (sequential opens).
   bool enable_provenance = false;
+  /// Read by nothing. Kept only so perfbench/, which assigns it, compiles
+  /// until it can drop the assignment.
+  int threads = 1;
 };
 
 /// A batch of raw tuples to ingest: each entry names the destination

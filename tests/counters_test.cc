@@ -69,7 +69,8 @@ TpchSf1Counters::PoolCounters TpchSf1Counters::pool_after_gen_;
 // The joiner never enumerates a valuation binding an id rule's two
 // consequence variables to one tuple (24,331 valuations with them, 20,481
 // reflexive). Each unordered ML pair is predicted once and found in the
-// cache from its other orientation, so predictions equal cache hits.
+// cache from its other orientation, so predictions equal cache hits. The
+// chase builds 18 equality indices and no ML candidate index.
 TEST_F(TpchSf1Counters, MatchEnumeratesNoReflexiveValuation) {
   const MatchReport report = RunMatch();
   EXPECT_EQ(report.chase.valuations, 3850u);
@@ -78,10 +79,14 @@ TEST_F(TpchSf1Counters, MatchEnumeratesNoReflexiveValuation) {
   EXPECT_EQ(report.ml_cache_hits, 1925u);
   EXPECT_EQ(report.chase.deps_added, 248u);
   EXPECT_EQ(report.matched_pairs, 1801u);
+  EXPECT_EQ(report.chase.indices_built, 18u);
+  EXPECT_EQ(report.chase.ml_indices_built, 0u);
 }
 
 // DMatch enumerates each valuation in exactly one Hypercube cell, so its
-// workers together do Match's leaf work and deduce Match's Γ.
+// workers together do Match's leaf work and deduce Match's Γ. Workers index
+// their blocks separately (only blocks with equal contents share an index):
+// 276 indices against Match's 18.
 TEST_F(TpchSf1Counters, DMatchDoesMatchWork) {
   const MatchReport match = RunMatch();
   DMatchOptions options;
@@ -91,6 +96,8 @@ TEST_F(TpchSf1Counters, DMatchDoesMatchWork) {
       engine::DMatch(gd_->dataset, gd_->rules, gd_->registry, options, &ctx);
   EXPECT_EQ(report.chase.valuations, match.chase.valuations);
   EXPECT_EQ(report.matched_pairs, match.matched_pairs);
+  EXPECT_EQ(report.chase.indices_built, 276u);
+  EXPECT_EQ(report.chase.ml_indices_built, 0u);
 }
 
 // Columnar storage and interning at SF 1: the generator reserves every
@@ -130,25 +137,23 @@ TEST_F(TpchSf1Counters, GenerationInternsEachStringOnce) {
   EXPECT_EQ(values.size(), codes.size());
 }
 
-// Pooled DMatch on ecommerce 800 (4 workers, 2 threads each): the wire
-// volume of both exchange legs, total and per superstep, in serialized
-// codec bytes.
+// Pooled DMatch on ecommerce 800 (4 workers): the wire volume of both
+// exchange legs, total and per superstep, in serialized codec bytes.
 TEST(EcommerceDMatchCounters, WireVolumeIsExactInEveryExecutionMode) {
   EcommerceOptions gen;
   gen.num_customers = 800;
   auto gd = MakeEcommerce(gen);
-  auto run = [&](bool run_parallel, int threads, MatchContext* ctx) {
+  auto run = [&](bool run_parallel, MatchContext* ctx) {
     gd->registry.ClearCache();
     gd->registry.ResetStats();
     DMatchOptions options;
     options.num_workers = 4;
     options.run_parallel = run_parallel;
-    options.threads = threads;
     return engine::DMatch(gd->dataset, gd->rules, gd->registry, options, ctx);
   };
 
   MatchContext pooled_ctx(gd->dataset);
-  const DMatchReport pooled = run(true, 2, &pooled_ctx);
+  const DMatchReport pooled = run(true, &pooled_ctx);
   EXPECT_EQ(pooled.messages, 1147u);
   EXPECT_EQ(pooled.bytes, 2368u);
   EXPECT_EQ(pooled.outbox_messages, 506u);
@@ -168,9 +173,9 @@ TEST(EcommerceDMatchCounters, WireVolumeIsExactInEveryExecutionMode) {
     EXPECT_EQ(s.outbox_bytes, kOutboxBytes[i]) << "superstep " << i;
   }
 
-  // Workers one after another, chase single-threaded: same volume, same Γ.
+  // Workers one after another: same volume, same Γ.
   MatchContext seq_ctx(gd->dataset);
-  const DMatchReport seq = run(false, 1, &seq_ctx);
+  const DMatchReport seq = run(false, &seq_ctx);
   EXPECT_EQ(seq.messages, 1147u);
   EXPECT_EQ(seq.bytes, 2368u);
   EXPECT_EQ(seq_ctx.MatchedPairs(), pooled_ctx.MatchedPairs());
@@ -272,15 +277,14 @@ struct CascadeRun {
   std::vector<std::pair<Gid, Gid>> pairs;
 };
 
-CascadeRun RunCascade(size_t leaf_limit, int threads) {
+CascadeRun RunCascade(size_t leaf_limit) {
   auto w = MakeTournament(10, /*with_ml=*/false);
   DatasetView view = DatasetView::Full(w->dataset);
   MatchContext ctx(w->dataset);
   EngineOptions eo;
   eo.dependency_capacity = 0;
-  eo.threads = threads;
   ChaseEngine engine(&view, &w->up_rules, &w->registry, &ctx,
-                     ChaseEngine::FromEngineOptions(eo, &ThreadPool::Global()));
+                     ChaseEngine::FromEngineOptions(eo));
   Delta d0;
   engine.Deduce(&d0);  // finds nothing: the up rule needs child matches
   const std::vector<Fact> facts = TournamentLeafFacts(*w, leaf_limit);
@@ -293,7 +297,7 @@ CascadeRun RunCascade(size_t leaf_limit, int threads) {
 }
 
 TEST(IncCascadeCounters, SeededWorkIsProportionalToDelta) {
-  const CascadeRun full = RunCascade(size_t(-1), /*threads=*/2);
+  const CascadeRun full = RunCascade(size_t(-1));
   EXPECT_EQ(full.leaves, 1024u);
   EXPECT_EQ(full.step.seeded_joins, 8188u);
   EXPECT_EQ(full.step.inc_rounds, 11u);
@@ -301,16 +305,11 @@ TEST(IncCascadeCounters, SeededWorkIsProportionalToDelta) {
   EXPECT_EQ(full.step.inc_dedup_hits, 0u);
   EXPECT_EQ(full.pairs.size(), 2047u);
 
-  const CascadeRun half = RunCascade(512, /*threads=*/2);
+  const CascadeRun half = RunCascade(512);
   EXPECT_EQ(half.leaves, 512u);
   EXPECT_EQ(half.step.seeded_joins, 4092u);
   EXPECT_EQ(half.step.inc_rounds, 10u);
   EXPECT_EQ(half.pairs.size(), 1023u);
-
-  // Every round inline on the calling thread: same work, same Γ.
-  const CascadeRun inline_run = RunCascade(size_t(-1), /*threads=*/1);
-  EXPECT_EQ(inline_run.step.seeded_joins, 8188u);
-  EXPECT_EQ(inline_run.pairs, full.pairs);
 }
 
 // A Resolver absorbs the last 64 ecommerce-400 tuples as 8-tuple appends:

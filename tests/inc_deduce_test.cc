@@ -1,8 +1,7 @@
 // Delta-driven IncDeduce (the batched semi-naive pass): Γ must be
 // bit-identical to the full chase fixpoint and invariant under every
-// execution knob — threads 1/4 (inline rounds vs rounds recorded on the
-// pool), dependency capacity 0/partial/default, and (at the DMatch level)
-// threads 1/2 with sequential and pooled workers.
+// execution knob — dependency capacity 0/partial/default, and (at the
+// DMatch level) sequential and pooled workers.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 #include "chase/deduce.h"
 #include "chase/match.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "datagen/ecommerce.h"
 #include "parallel/dmatch.h"
 #include "workloads.h"
@@ -24,10 +22,7 @@ namespace {
 struct ProtocolResult {
   std::vector<std::pair<Gid, Gid>> pairs;
   std::vector<uint64_t> ml_keys;
-  // The engine's counters over the IncDeduce call; the determinism
-  // contract says the ones ExpectSameStats compares match under any
-  // threads setting.
-  ChaseStats step;
+  ChaseStats step;  // the engine's counters over the IncDeduce call
 };
 
 // The cap protocol at the engine level: full Deduce over the up rule alone
@@ -38,15 +33,13 @@ struct ProtocolResult {
 // no-drop fast path answers from the dependency store.
 ProtocolResult RunProtocol(TournamentWorkload& w,
                            const std::vector<Fact>& leaf_facts,
-                           size_t capacity, int threads) {
+                           size_t capacity) {
   DatasetView view = DatasetView::Full(w.dataset);
   MatchContext ctx(w.dataset);
   EngineOptions eo;
   eo.dependency_capacity = capacity;
-  eo.threads = threads;
-  ChaseEngine::Options o =
-      ChaseEngine::FromEngineOptions(eo, &ThreadPool::Global());
-  ChaseEngine engine(&view, &w.up_rules, &w.registry, &ctx, o);
+  ChaseEngine engine(&view, &w.up_rules, &w.registry, &ctx,
+                     ChaseEngine::FromEngineOptions(eo));
   Delta d0;
   engine.Deduce(&d0);
   Delta seeds;
@@ -61,15 +54,6 @@ void ExpectSameResult(const ProtocolResult& a, const ProtocolResult& b,
                       const char* what) {
   EXPECT_EQ(a.pairs, b.pairs) << what;
   EXPECT_EQ(a.ml_keys, b.ml_keys) << what;
-}
-
-void ExpectSameStats(const ProtocolResult& a, const ProtocolResult& b,
-                     const char* what) {
-  EXPECT_EQ(a.step.seeded_joins, b.step.seeded_joins) << what;
-  EXPECT_EQ(a.step.inc_rounds, b.step.inc_rounds) << what;
-  EXPECT_EQ(a.step.inc_frontier_items, b.step.inc_frontier_items) << what;
-  EXPECT_EQ(a.step.inc_dedup_hits, b.step.inc_dedup_hits) << what;
-  EXPECT_EQ(a.step.matches, b.step.matches) << what;
 }
 
 class IncDeduceTournamentTest : public ::testing::TestWithParam<bool> {};
@@ -96,23 +80,9 @@ TEST_P(IncDeduceTournamentTest, RecoveryMatchesFullChaseFixpoint) {
   // Capacity 0 forces full seeded recovery; 8 mixes recorded and dropped
   // dependencies; the default never drops (fast path).
   for (size_t cap : {size_t{0}, size_t{8}, size_t{1} << 20}) {
-    ProtocolResult ref;
-    bool have_ref = false;
-    for (int threads : {1, 4}) {
-      ProtocolResult r = RunProtocol(*w, leaves, cap, threads);
-      std::string what =
-          "cap=" + std::to_string(cap) + " threads=" + std::to_string(threads);
-      EXPECT_EQ(r.pairs, expected_pairs) << what;
-      EXPECT_EQ(r.ml_keys, expected_ml) << what;
-      // Every counter is deterministic across thread counts for a fixed
-      // capacity.
-      if (!have_ref) {
-        ref = r;
-        have_ref = true;
-      } else {
-        ExpectSameStats(ref, r, what.c_str());
-      }
-    }
+    ProtocolResult r = RunProtocol(*w, leaves, cap);
+    EXPECT_EQ(r.pairs, expected_pairs) << "cap=" << cap;
+    EXPECT_EQ(r.ml_keys, expected_ml) << "cap=" << cap;
   }
 }
 
@@ -132,16 +102,12 @@ TEST(IncDeduceTest, RandomLeafSubsetsAgreeAcrossConfigs) {
     for (const auto& [a, b] : w->leaf_pairs) {
       if (rng.Uniform(10) < 6) leaves.push_back(Fact::IdMatch(a, b));
     }
-    ProtocolResult ref =
-        RunProtocol(*w, leaves, size_t{1} << 20, /*threads=*/1);
+    ProtocolResult ref = RunProtocol(*w, leaves, size_t{1} << 20);
     for (size_t cap : {size_t{0}, size_t{4}}) {
-      for (int threads : {1, 4}) {
-        ProtocolResult r = RunProtocol(*w, leaves, cap, threads);
-        std::string what = "trial=" + std::to_string(trial) +
-                           " cap=" + std::to_string(cap) +
-                           " threads=" + std::to_string(threads);
-        ExpectSameResult(ref, r, what.c_str());
-      }
+      ProtocolResult r = RunProtocol(*w, leaves, cap);
+      std::string what =
+          "trial=" + std::to_string(trial) + " cap=" + std::to_string(cap);
+      ExpectSameResult(ref, r, what.c_str());
     }
   }
 }
@@ -152,8 +118,7 @@ TEST(IncDeduceTest, NoDropFastPathSkipsSeededJoins) {
   // single seeded re-join or semi-naive round.
   auto w = MakeTournament(5, /*with_ml=*/false);
   ASSERT_NE(w, nullptr);
-  ProtocolResult r = RunProtocol(*w, TournamentLeafFacts(*w), size_t{1} << 20,
-                                 /*threads=*/1);
+  ProtocolResult r = RunProtocol(*w, TournamentLeafFacts(*w), size_t{1} << 20);
   EXPECT_EQ(r.step.seeded_joins, 0u);
   EXPECT_EQ(r.step.inc_rounds, 0u);
   EXPECT_EQ(r.step.inc_frontier_items, 0u);
@@ -163,8 +128,8 @@ TEST(IncDeduceTest, NoDropFastPathSkipsSeededJoins) {
 
 TEST(IncDeduceTest, DMatchTransportsAndAblationAgree) {
   // The BSP path with capacity 0: every incremental superstep runs the
-  // seeded recovery. Sequential and pooled workers, and inline and pooled
-  // IncDeduce rounds must all reproduce the sequential Match fixpoint.
+  // seeded recovery. Sequential and pooled workers must both reproduce the
+  // sequential Match fixpoint.
   auto w = MakeTournament(5, /*with_ml=*/false);
   ASSERT_NE(w, nullptr);
   std::vector<std::pair<Gid, Gid>> expected;
@@ -174,21 +139,14 @@ TEST(IncDeduceTest, DMatchTransportsAndAblationAgree) {
     engine::Match(view, w->rules, w->registry, {}, &ctx);
     expected = ctx.MatchedPairs();
   }
-  struct Config {
-    bool run_parallel;
-    int threads;
-  };
-  const Config configs[] = {{false, 1}, {false, 2}, {true, 2}};
-  for (const Config& c : configs) {
+  for (bool run_parallel : {false, true}) {
     DMatchOptions o;
     o.num_workers = 4;
     o.dependency_capacity = 0;
-    o.run_parallel = c.run_parallel;
-    o.threads = c.threads;
+    o.run_parallel = run_parallel;
     MatchContext ctx(w->dataset);
     DMatchReport r = engine::DMatch(w->dataset, w->rules, w->registry, o, &ctx);
-    EXPECT_EQ(ctx.MatchedPairs(), expected)
-        << "run_parallel=" << c.run_parallel << " threads=" << c.threads;
+    EXPECT_EQ(ctx.MatchedPairs(), expected) << "run_parallel=" << run_parallel;
     EXPECT_GT(r.chase.seeded_joins, 0u);
   }
 }
@@ -210,17 +168,14 @@ TEST(IncDeduceTest, EcommerceDMatchCap0AgreesWithMatch) {
     expected_ml = ctx.ValidatedMlKeys();
     ASSERT_FALSE(expected.empty());
   }
-  for (int threads : {1, 2}) {
-    gd->registry.ClearCache();
-    DMatchOptions o;
-    o.num_workers = 4;
-    o.dependency_capacity = 0;
-    o.threads = threads;
-    MatchContext ctx(gd->dataset);
-    engine::DMatch(gd->dataset, gd->rules, gd->registry, o, &ctx);
-    EXPECT_EQ(ctx.MatchedPairs(), expected) << "threads=" << threads;
-    EXPECT_EQ(ctx.ValidatedMlKeys(), expected_ml) << "threads=" << threads;
-  }
+  gd->registry.ClearCache();
+  DMatchOptions o;
+  o.num_workers = 4;
+  o.dependency_capacity = 0;
+  MatchContext ctx(gd->dataset);
+  engine::DMatch(gd->dataset, gd->rules, gd->registry, o, &ctx);
+  EXPECT_EQ(ctx.MatchedPairs(), expected);
+  EXPECT_EQ(ctx.ValidatedMlKeys(), expected_ml);
 }
 
 }  // namespace

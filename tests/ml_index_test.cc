@@ -281,26 +281,6 @@ TEST(MlIndexChase, BatchKernelsCountEachEvaluationOnce) {
   EXPECT_EQ(ctx[0].ValidatedMlKeys(), ctx[1].ValidatedMlKeys());
 }
 
-TEST(MlIndexChase, MlOnlyRulesParallelEnumerationBitIdentical) {
-  MlOnlyWorkload w = MakeMlOnlyWorkload(80);
-  DatasetView view = DatasetView::Full(w.gd->dataset);
-
-  MatchOptions seq;
-  seq.ml_index = true;
-  seq.threads = 1;
-  MatchContext ctx_seq(w.gd->dataset);
-  engine::Match(view, w.rules, w.gd->registry, seq, &ctx_seq);
-
-  MatchOptions par = seq;
-  par.threads = 4;
-  w.gd->registry.ClearCache();
-  MatchContext ctx_par(w.gd->dataset);
-  engine::Match(view, w.rules, w.gd->registry, par, &ctx_par);
-
-  EXPECT_EQ(ctx_seq.MatchedPairs(), ctx_par.MatchedPairs());
-  EXPECT_EQ(ctx_seq.ValidatedMlKeys(), ctx_par.ValidatedMlKeys());
-}
-
 TEST(MlIndexChase, DMatchBitIdenticalOnOff) {
   EcommerceOptions gen;
   gen.num_customers = 120;

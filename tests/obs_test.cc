@@ -358,14 +358,15 @@ TEST(RunReportTest, MetricsSnapshotJsonSeparatesTimings) {
 
 // ---------------------------------------------------------------------------
 // Determinism contract: every counter / gauge / count-histogram the engine
-// feeds is bit-identical across intra-worker thread settings.
+// feeds is bit-identical whether the DMatch workers run one after another
+// or on the pool.
 
-obs::MetricsSnapshot RunDMatchWithMetrics(int threads) {
+obs::MetricsSnapshot RunDMatchWithMetrics(bool run_parallel) {
   auto ex = MakePaperExample();
   obs::MetricsRegistry::Global().ResetAll();
   DMatchOptions options;
   options.num_workers = 4;
-  options.threads = threads;
+  options.run_parallel = run_parallel;
   MatchContext result(ex->dataset);
   DMatchReport report =
       engine::DMatch(ex->dataset, ex->rules, ex->registry, options, &result);
@@ -376,8 +377,8 @@ obs::MetricsSnapshot RunDMatchWithMetrics(int threads) {
 TEST(ObsDeterminismTest, DMatchCountersIdenticalAcrossThreadCounts) {
   const bool was_enabled = obs::MetricsEnabled();
   obs::SetMetricsEnabled(true);
-  obs::MetricsSnapshot seq = RunDMatchWithMetrics(1);
-  obs::MetricsSnapshot par = RunDMatchWithMetrics(4);
+  obs::MetricsSnapshot seq = RunDMatchWithMetrics(false);
+  obs::MetricsSnapshot par = RunDMatchWithMetrics(true);
   EXPECT_TRUE(seq.DeterministicEquals(par));
   // Sanity: the runs actually fed the registry.
   EXPECT_GT(seq.counters.at("chase.valuations"), 0u);

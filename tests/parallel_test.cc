@@ -398,65 +398,6 @@ TEST(DMatchTest, RandomInstancesAgreeWithNaiveChase) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Intra-worker parallel enumeration is bit-identical to sequential.
-
-TEST(IntraWorkerParallelismTest, PaperExampleDeterministicAcrossThreadCounts) {
-  auto ex = MakePaperExample();
-  DatasetView view = DatasetView::Full(ex->dataset);
-  MatchContext reference(ex->dataset);
-  engine::Match(view, ex->rules, ex->registry, {}, &reference);
-
-  for (int tpw : {1, 3}) {
-    for (bool run_parallel : {false, true}) {
-      DMatchOptions options;
-      options.num_workers = 4;
-      options.threads = tpw;
-      options.run_parallel = run_parallel;
-      MatchContext ctx(ex->dataset);
-      engine::DMatch(ex->dataset, ex->rules, ex->registry, options, &ctx);
-      EXPECT_EQ(ctx.MatchedPairs(), reference.MatchedPairs())
-          << "tpw=" << tpw << " run_parallel=" << run_parallel;
-      EXPECT_EQ(ctx.ValidatedMlKeys(), reference.ValidatedMlKeys())
-          << "tpw=" << tpw << " run_parallel=" << run_parallel;
-    }
-  }
-}
-
-TEST(IntraWorkerParallelismTest, EcommerceDeterministicAndSameWork) {
-  EcommerceOptions gen;
-  gen.num_customers = 400;
-  auto gd = MakeEcommerce(gen);
-  DatasetView view = DatasetView::Full(gd->dataset);
-
-  // Sequential chase: the byte-for-byte reference. enumeration_shards only
-  // kicks in past min_parallel_root, which the forced shard count exercises.
-  MatchContext reference(gd->dataset);
-  MatchOptions seq;
-  MatchReport seq_report = engine::Match(view, gd->rules, gd->registry, seq, &reference);
-
-  MatchContext pooled(gd->dataset);
-  MatchOptions par;
-  par.threads = 4;
-  MatchReport par_report = engine::Match(view, gd->rules, gd->registry, par, &pooled);
-
-  EXPECT_EQ(pooled.MatchedPairs(), reference.MatchedPairs());
-  EXPECT_EQ(pooled.ValidatedMlKeys(), reference.ValidatedMlKeys());
-  EXPECT_EQ(pooled.num_matched_pairs(), reference.num_matched_pairs());
-  // The parallel path enumerates the same valuation space (Prop. 4: the
-  // result and the work are execution-order independent).
-  EXPECT_EQ(par_report.chase.valuations, seq_report.chase.valuations);
-  EXPECT_EQ(par_report.rounds, seq_report.rounds);
-
-  MatchContext dmatch_ctx(gd->dataset);
-  DMatchOptions dopt;
-  dopt.num_workers = 4;
-  dopt.threads = 2;
-  engine::DMatch(gd->dataset, gd->rules, gd->registry, dopt, &dmatch_ctx);
-  EXPECT_EQ(dmatch_ctx.MatchedPairs(), reference.MatchedPairs());
-  EXPECT_EQ(dmatch_ctx.ValidatedMlKeys(), reference.ValidatedMlKeys());
-}
-
 TEST(DMatchTest, ReportAccountsForWorkAndCommunication) {
   auto ex = MakePaperExample();
   DMatchOptions options;
@@ -571,10 +512,10 @@ TEST(ExactlyOnceTest, Tfacc) {
   ExpectEachValuationOnce(gd->dataset, gd->rules, gd->registry);
 }
 
-// The role check on the seeded and sharded paths: dependency_capacity = 0
-// drops every dependency, so IncDeduce's seeded re-joins recover them, and
-// threads = 2 runs the per-shard joiners and the pooled inc rounds. Γ must
-// equal Match's, and the work must not depend on the thread count.
+// The role check on the seeded path across Hypercube shards:
+// dependency_capacity = 0 drops every dependency, so IncDeduce's seeded
+// re-joins recover them inside each worker's cells. Γ must equal Match's,
+// and the work must not depend on whether the workers run on the pool.
 TEST(ExactlyOnceTest, SeededAndShardedPathsKeepGammaAndWork) {
   TpchOptions tpch_options;
   tpch_options.scale_factor = 0.05;
@@ -588,21 +529,22 @@ TEST(ExactlyOnceTest, SeededAndShardedPathsKeepGammaAndWork) {
                   &reference);
     for (int n : {2, 4}) {
       uint64_t valuations[2] = {0, 0};
-      for (int threads : {1, 2}) {
+      for (bool run_parallel : {false, true}) {
         DMatchOptions options;
         options.num_workers = n;
-        options.threads = threads;
+        options.run_parallel = run_parallel;
         options.dependency_capacity = 0;
         MatchContext ctx(gd->dataset);
         const DMatchReport report = engine::DMatch(
             gd->dataset, gd->rules, gd->registry, options, &ctx);
         const std::string what = gd->name + ", n=" + std::to_string(n) +
-                                 ", threads=" + std::to_string(threads);
+                                 ", run_parallel=" +
+                                 std::to_string(run_parallel);
         EXPECT_GT(report.chase.deps_dropped, 0u) << what;
         EXPECT_GT(report.chase.seeded_joins, 0u) << what;
         EXPECT_EQ(ctx.MatchedPairs(), reference.MatchedPairs()) << what;
         EXPECT_EQ(ctx.ValidatedMlKeys(), reference.ValidatedMlKeys()) << what;
-        valuations[threads - 1] = report.chase.valuations;
+        valuations[run_parallel] = report.chase.valuations;
       }
       EXPECT_EQ(valuations[0], valuations[1]) << gd->name << ", n=" << n;
     }

@@ -159,6 +159,29 @@ TEST_F(RulesTest, ParserErrors) {
                    .ok());
 }
 
+// The joiner keys its binding plans by a 64-bit variable mask, so a rule
+// with a 65th tuple variable is refused at parse time instead of reaching it.
+TEST_F(RulesTest, ParserRefusesMoreThan64TupleVariables) {
+  auto rule_with = [](size_t vars) {
+    std::string text = "Customers(u) ^ Customers(w)";
+    for (size_t i = 2; i < vars; ++i) {
+      text += " ^ Customers(t" + std::to_string(i) + ")";
+    }
+    return text + " -> u.id = w.id";
+  };
+  Rule r;
+  Status s = ParseRule(rule_with(Rule::kMaxVars), dataset_, registry_, &r);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(r.num_vars(), 64u);
+
+  Rule over;
+  s = ParseRule(rule_with(Rule::kMaxVars + 1), dataset_, registry_, &over);
+  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.message().find("more than 64 tuple variables"),
+            std::string::npos)
+      << s.message();
+}
+
 // Each malformed-predicate class must name the source position and the
 // offending token in the Status message.
 TEST_F(RulesTest, ParserDiagnosticsCarryLineColumnAndToken) {
